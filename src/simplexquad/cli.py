@@ -301,15 +301,8 @@ def _prior_weighted_log_integrand(counts, expr):
 
 
 def _integrate_once(counts, expr, spec):
-    n = counts.size
     log_f = _prior_weighted_log_integrand(counts, expr)
-    if spec.scheme == "nested_oracle":
-        def f(p):
-            row = np.asarray(p, dtype=float)[None, :]
-            return float(np.exp(log_f(row))[0])
-
-        return nested_oracle(f, n=n, spec=spec)
-    return integrate_simplex_log(n, log_f, spec)
+    return integrate_simplex_log(counts.size, log_f, spec)
 
 
 def cmd_integrate(args):

@@ -122,7 +122,7 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect_close(self, what, column_hint):
+    def expect_close(self, what):
         kind, text, col = self.peek()
         if kind != "op" or text != ")":
             raise ExpressionSyntaxError(
@@ -213,7 +213,7 @@ class _Parser:
             return self.parse_ident(text, col)
         if kind == "op" and text == "(":
             node = self.parse_expression()
-            self.expect_close("the group", col)
+            self.expect_close("the group")
             return node
         if kind == "end":
             raise ExpressionSyntaxError(
@@ -244,7 +244,7 @@ class _Parser:
                     args.append(self.parse_expression())
                 else:
                     break
-            self.expect_close(f"the arguments of {text}", col)
+            self.expect_close(f"the arguments of {text}")
             arity = _FUNCTIONS[text]
             if len(args) != arity:
                 plural = "s" if arity != 1 else ""

@@ -11,6 +11,13 @@ N = sum m_i. Every moment E[prod p_i^{a_i}] is a ratio of two such
 integrals, I(m + a) / I(m), so all arithmetic happens on logarithms
 and counts in the thousands neither overflow nor lose the ratio.
 
+Each marginal p_i is Beta(a, b) with a = m_i + 1 and b = N + n - a
+(Johnson, Kotz & Balakrishnan, Continuous Multivariate Distributions,
+Ch. 49). Mean, variance, skewness and covariance are the Beta and
+Dirichlet closed forms in a and b, with the differences of raw
+moments cancelled symbolically, so they keep full precision at large
+counts where a subtraction of raw moments would lose every digit.
+
 Non-integer counts are fine everywhere (they arise from fractional
 pseudo-counts); each m_i only has to stay above -1 so that the Gamma
 arguments stay positive.
@@ -132,37 +139,31 @@ def std_dev(m, i) -> float:
 
 
 def skewness(m, i) -> float:
-    """Posterior skewness of bin i.
+    """Posterior skewness of bin i, from its Beta(a, b) marginal.
 
-    mu_3 / var^{3/2} with the central third moment assembled from raw
-    moments: mu_3 = E[p^3] - 3 E[p^2] E[p] + 2 E[p]^3. Zero for
-    symmetric marginals; positive means a tail toward larger p_i.
+    2 (b - a) sqrt(a + b + 1) / ((a + b + 2) sqrt(a b)) with
+    a = m_i + 1 and b = N + n - a. Zero for symmetric marginals;
+    positive means a tail toward larger p_i.
     """
     m = as_exponent_vector(m)
-    i0 = _bin_index(i, m.size)
-    e = []
-    for q in (1.0, 2.0, 3.0):
-        a = np.zeros(m.size)
-        a[i0] = q
-        e.append(moment(m, a))
-    e1, e2, e3 = e
-    mu3 = e3 - 3.0 * e2 * e1 + 2.0 * e1 ** 3
-    return mu3 / variance(m, i) ** 1.5
+    t = _total(m)
+    a = m[_bin_index(i, m.size)] + 1.0
+    b = t - a
+    return 2.0 * (b - a) * math.sqrt(t + 1.0) / ((t + 2.0) * math.sqrt(a * b))
 
 
 def covariance(m, i, j) -> float:
-    """Posterior covariance of bins i and j.
+    """Posterior covariance of bins i and j, in closed form.
 
-    E[p_i p_j] - E[p_i] E[p_j], with the cross moment as a ratio of
-    normalization integrals. Negative for i != j: the bins compete for
-    the same unit of probability. covariance(m, i, i) is variance.
+    cov(p_i, p_j) = -a_i a_j / (A^2 (A + 1)) for i != j, with
+    a_i = m_i + 1 and A = N + n: E[p_i p_j] - E[p_i] E[p_j] with the
+    cancellation done symbolically. Negative: the bins compete for the
+    same unit of probability. covariance(m, i, i) is variance.
     """
     m = as_exponent_vector(m)
     i0 = _bin_index(i, m.size)
     j0 = _bin_index(j, m.size)
     if i0 == j0:
         return variance(m, i)
-    a = np.zeros(m.size)
-    a[i0] = 1.0
-    a[j0] = 1.0
-    return moment(m, a) - mean(m, i) * mean(m, j)
+    t = _total(m)
+    return -((m[i0] + 1.0) * (m[j0] + 1.0)) / (t * t * (t + 1.0))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .moments import as_exponent_vector
 from .oracle import IntegrationError, nested_simplex_integral
-from .spherical import HALF_PI, angles_to_simplex, log_jacobian, log_kernel
+from .spherical import HALF_PI, _xlogy, angles_to_simplex, log_jacobian, log_kernel
 
 __all__ = [
     "DEFAULT_EVAL_BUDGET",
@@ -73,17 +73,23 @@ _MC_BATCH = 1 << 16
 def resolve_eval_budget(budget=None):
     """Effective evaluation cap: explicit argument, else the
     SIMPLEXQUAD_EVAL_BUDGET environment variable, else 1e8."""
+    source = "evaluation budget"
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
         if raw is None or not raw.strip():
             return DEFAULT_EVAL_BUDGET
+        source = BUDGET_ENV_VAR
         try:
             budget = float(raw)
         except ValueError:
             raise ValueError(
                 f"{BUDGET_ENV_VAR} must be a number, got {raw!r}"
             ) from None
-    limit = int(budget)
+    try:
+        limit = int(budget)
+    except (OverflowError, ValueError):
+        # inf overflows int() and NaN has no integer value
+        raise ValueError(f"{source} must be finite, got {budget!r}") from None
     if limit <= 0:
         raise ValueError("evaluation budget must be positive")
     return limit
@@ -233,12 +239,10 @@ def _angle_rule(count):
     x = np.arcsin(alpha * s) / scale
     dx_ds = alpha / (scale * np.sqrt(1.0 - (alpha * s) ** 2))
     theta = (x + 1.0) * (math.pi / 4.0)
-    weights = w * dx_ds * (math.pi / 4.0)
-    log_weights = np.log(weights)
+    log_weights = np.log(w * dx_ds * (math.pi / 4.0))
     theta.flags.writeable = False
-    weights.flags.writeable = False
     log_weights.flags.writeable = False
-    return theta, weights, log_weights
+    return theta, log_weights
 
 
 class _LogSumAccumulator:
@@ -286,10 +290,7 @@ def power_log_integrand(m):
     m = as_exponent_vector(m)
 
     def log_f(points):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = m * np.log(points)
-        terms = np.where(m == 0.0, 0.0, terms)
-        return np.sum(terms, axis=-1)
+        return np.sum(_xlogy(m, points), axis=-1)
 
     return log_f
 
@@ -301,9 +302,17 @@ def _checked_log_values(log_f, points, count):
             "integrand must return one value per point "
             f"(expected shape {(count,)}, got {values.shape})"
         )
-    if np.any(np.isnan(values)) or np.any(values == math.inf):
+    # NaN and +inf fail this comparison; -inf, an integrand zero, passes
+    if not np.all(values < math.inf):
         raise IntegrationError("integrand evaluated to NaN or infinity")
     return values
+
+
+def _check_budget(what, needed, limit):
+    if needed > limit:
+        raise IntegrationError(
+            f"{what} needs {needed} evaluations, over the budget of {limit}"
+        )
 
 
 def _check_bins(n):
@@ -314,12 +323,8 @@ def _check_bins(n):
 
 def _gauss_grid(n, log_f, nodes, budget):
     total = nodes ** (n - 1)
-    if total > budget:
-        raise IntegrationError(
-            f"gauss_grid with {nodes} nodes on {n - 1} axes needs {total} "
-            f"evaluations, over the budget of {budget}"
-        )
-    theta, _, log_w = _angle_rule(nodes)
+    _check_budget(f"gauss_grid with {nodes} nodes on {n - 1} axes", total, budget)
+    theta, log_w = _angle_rule(nodes)
     dims = (nodes,) * (n - 1)
     acc = _LogSumAccumulator()
     for start in range(0, total, _CHUNK):
@@ -334,10 +339,7 @@ def _gauss_grid(n, log_f, nodes, budget):
 
 
 def _monte_carlo(n, log_f, samples, seed, budget):
-    if samples > budget:
-        raise IntegrationError(
-            f"monte_carlo with {samples} samples is over the budget of {budget}"
-        )
+    _check_budget(f"monte_carlo with {samples} samples", samples, budget)
     log_cube = (n - 1) * math.log(HALF_PI)
     # two's-complement fold of the signed seed into the uint64 key word
     key_word = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -379,6 +381,10 @@ def integrate_simplex_log(n, log_f, spec, budget=None):
     and returns k log values (-inf encodes an integrand zero). Use
     this instead of integrate_simplex when the integrand itself would
     underflow linear doubles.
+
+    This is the one integration core: every scheme, integrate_simplex
+    and the command line come through here, so the shape, NaN and +inf
+    checks on integrand values hold on every route.
     """
     n = _check_bins(n)
     if not isinstance(spec, QuadratureSpec):
@@ -397,15 +403,15 @@ def integrate_simplex_log(n, log_f, spec, budget=None):
         row = np.asarray(p, dtype=float)[None, :]
         return float(np.exp(_checked_log_values(log_f, row, 1)[0]))
 
-    value, evaluations = nested_simplex_integral(
-        f, n=n, rel_tol=spec.rel_tol, max_evaluations=limit
-    )
-    log_value = math.log(value) if value > 0.0 else -math.inf
-    return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
+    return nested_oracle(f, n=n, spec=spec, budget=limit)
 
 
 def integrate_simplex(n, f, spec, budget=None, vectorized=False):
     """Integrate a nonnegative f(p) over the n-bin simplex.
+
+    A thin adapter: f is wrapped as log f and handed to
+    integrate_simplex_log, which runs every scheme and checks the
+    values on every route.
 
     Parameters
     ----------
@@ -425,11 +431,8 @@ def integrate_simplex(n, f, spec, budget=None, vectorized=False):
     -------
     IntegralEstimate
     """
-    n = _check_bins(n)
-    if not isinstance(spec, QuadratureSpec):
-        raise TypeError("spec must be a QuadratureSpec")
 
-    def evaluate_linear(points):
+    def log_f(points):
         if vectorized:
             values = np.asarray(f(points), dtype=float)
         else:
@@ -437,33 +440,15 @@ def integrate_simplex(n, f, spec, budget=None, vectorized=False):
                 (float(f(row)) for row in points), dtype=float,
                 count=points.shape[0],
             )
-        if values.shape != (points.shape[0],):
-            raise IntegrationError(
-                "vectorized integrand must return one value per point"
-            )
-        if not np.all(np.isfinite(values)):
-            raise IntegrationError("integrand returned a non-finite value")
+        # the core rejects a wrong shape, NaN and +inf; log(-x) would
+        # only show up there as NaN, so the sign is checked here
         if np.any(values < 0.0):
             raise IntegrationError(
                 "integrand returned a negative value; simplex integrands "
                 "must be nonnegative"
             )
-        return values
-
-    if spec.scheme == "nested_oracle":
-        def scalar_f(p):
-            return float(evaluate_linear(np.asarray(p, dtype=float)[None, :])[0])
-
-        limit = resolve_eval_budget(budget)
-        value, evaluations = nested_simplex_integral(
-            scalar_f, n=n, rel_tol=spec.rel_tol, max_evaluations=limit
-        )
-        log_value = math.log(value) if value > 0.0 else -math.inf
-        return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
-
-    def log_f(points):
         with np.errstate(divide="ignore"):
-            return np.log(evaluate_linear(points))
+            return np.log(values)
 
     return integrate_simplex_log(n, log_f, spec, budget=budget)
 
@@ -489,13 +474,8 @@ def integrate_separable(m, spec=None, budget=None):
             "be 'gauss_grid'"
         )
     evaluations = (n - 1) * spec.nodes_per_axis
-    limit = resolve_eval_budget(budget)
-    if evaluations > limit:
-        raise IntegrationError(
-            f"integrate_separable needs {evaluations} evaluations, over "
-            f"the budget of {limit}"
-        )
-    theta, _, log_w = _angle_rule(spec.nodes_per_axis)
+    _check_budget("integrate_separable", evaluations, resolve_eval_budget(budget))
+    theta, log_w = _angle_rule(spec.nodes_per_axis)
     log_total = 0.0
     for j in range(1, n):
         log_total += _logsumexp(log_w + log_kernel(j, n, m, theta))
@@ -509,7 +489,8 @@ def nested_oracle(integrand, n=None, spec=None, budget=None):
     or a scalar callable on full probability vectors; callables need
     an explicit n. Limited to n <= 5. See the oracle module for the
     machinery; this wrapper only adds the spec/budget plumbing and the
-    log-form result.
+    log-form result, and is the one place an oracle value becomes an
+    IntegralEstimate (integrate_simplex_log's oracle route ends here).
     """
     if spec is None:
         spec = QuadratureSpec(scheme="nested_oracle")

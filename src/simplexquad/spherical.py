@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .moments import as_exponent_vector
+
 __all__ = [
     "HALF_PI",
     "angles_to_simplex",
@@ -39,27 +41,23 @@ HALF_PI = math.pi / 2.0
 _LN2 = math.log(2.0)
 
 
-def _check_angles(theta):
-    if theta.ndim < 1 or theta.shape[-1] < 1:
-        raise ValueError("an angle vector needs at least one component (n >= 2 bins)")
+def _check_angle_range(theta):
     if not np.all(np.isfinite(theta)):
         raise ValueError("angles must be finite")
     if np.any(theta < 0.0) or np.any(theta > HALF_PI):
         raise ValueError("angles must lie in [0, pi/2]")
 
 
-def _check_exponents(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 1 or m.size < 2:
-        raise ValueError("exponent vector must be 1-D with at least two bins")
-    if not np.all(np.isfinite(m)) or np.any(m <= -1.0):
-        raise ValueError("every exponent must be a finite value > -1")
-    return m
+def _check_angles(theta):
+    if theta.ndim < 1 or theta.shape[-1] < 1:
+        raise ValueError("an angle vector needs at least one component (n >= 2 bins)")
+    _check_angle_range(theta)
 
 
 def _xlogy(y, x):
     # y * log(x) with the 0 * log(0) = 0 convention: a zero exponent
-    # removes the factor entirely, whatever the base.
+    # removes the factor entirely, whatever the base. The one home of
+    # that rule; quadrature.power_log_integrand uses it too.
     with np.errstate(divide="ignore", invalid="ignore"):
         out = y * np.log(x)
     return np.where(np.asarray(y) == 0.0, 0.0, out)
@@ -191,14 +189,13 @@ def log_kernel(j, n, m, theta_j):
         ln K_j; -inf at boundary zeros of the kernel, +inf where a
         negative power (m_j < -1/2 at the cos end, say) diverges.
     """
-    m = _check_exponents(m)
+    m = as_exponent_vector(m)
     if n != m.size:
         raise ValueError(f"n={n} does not match len(m)={m.size}")
     if not 1 <= j <= n - 1:
         raise IndexError(f"kernel index must satisfy 1 <= j <= n-1, got j={j}")
     t = np.asarray(theta_j, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > HALF_PI):
-        raise ValueError("angles must lie in [0, pi/2]")
+    _check_angle_range(t)
 
     cos_exp = 2.0 * (m[j - 1] + 1.0) - 1.0
     sin_exp = 2.0 * float(np.sum(m[j:] + 1.0)) - 1.0

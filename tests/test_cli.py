@@ -278,9 +278,12 @@ class TestEvalBudgetEnvironment:
         assert report["inputs"]["eval_budget"] == 200_000
 
     def test_malformed_budget_exits_2(self):
-        result = run_cli("integrate", "--counts", "1,1,1",
-                         env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "lots"})
-        assert result.returncode == 2
+        # inf is a number but not a usable budget: malformed input too
+        for raw in ("lots", "inf"):
+            result = run_cli("integrate", "--counts", "1,1,1",
+                             env_extra={"SIMPLEXQUAD_EVAL_BUDGET": raw})
+            assert result.returncode == 2
+            assert "SIMPLEXQUAD_EVAL_BUDGET" in result.stderr
 
 
 class TestCompareCommand:

@@ -229,6 +229,41 @@ class TestClosedForms:
         third = e3 - 3.0 * e2 * e1 + 2.0 * e1 ** 3
         assert skewness(m, 1) == pytest.approx(third / var ** 1.5, abs=1e-8)
 
+    @pytest.mark.parametrize("counts", [
+        (100000, 300000),
+        (1000000, 1000001),
+        (250000, 3, 740000, 12),
+    ])
+    def test_skewness_at_large_counts_is_exact(self, counts):
+        # Beta(a, b) marginal: skewness^2 = 4 (b-a)^2 (a+b+1) /
+        # ((a+b+2)^2 a b), a rational number for integer counts; a
+        # subtraction of raw moments loses every digit here
+        m = np.array(counts, dtype=float)
+        total = sum(counts) + len(counts)
+        for i in range(1, len(counts) + 1):
+            a = counts[i - 1] + 1
+            b = total - a
+            exact = Fraction(4 * (b - a) ** 2 * (a + b + 1),
+                             (a + b + 2) ** 2 * a * b)
+            value = skewness(m, i)
+            assert (value > 0.0) == (b > a) and (value < 0.0) == (b < a)
+            got = Fraction(value) ** 2
+            assert abs(got - exact) <= exact * Fraction(1, 10 ** 14)
+
+    def test_covariance_at_large_counts_is_exact(self):
+        # cov(p_i, p_j) = -a_i a_j / (A^2 (A + 1)) with a_i = m_i + 1
+        counts = (12345678, 23456789, 34567890, 9876543)
+        m = np.array(counts, dtype=float)
+        total = sum(counts) + len(counts)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                if i == j:
+                    continue
+                exact = Fraction(-(counts[i - 1] + 1) * (counts[j - 1] + 1),
+                                 total * total * (total + 1))
+                got = Fraction(covariance(m, i, j))
+                assert abs(got - exact) <= abs(exact) * Fraction(1, 10 ** 14)
+
     def test_covariance_matches_generic_ratio(self):
         rng = np.random.default_rng(44)
         for _ in range(200):

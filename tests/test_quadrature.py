@@ -133,6 +133,16 @@ class TestEvalBudget:
         monkeypatch.setenv(BUDGET_ENV_VAR, "-5")
         with pytest.raises(ValueError):
             resolve_eval_budget(None)
+        # numbers without an integer value; the error names the variable
+        for raw in ("inf", "1e400", "nan"):
+            monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+            with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+                resolve_eval_budget(None)
+
+    def test_non_finite_explicit_budget_is_refused(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                resolve_eval_budget(bad)
 
     def test_grid_refuses_instead_of_truncating(self):
         # 32^7 evaluations is over the default budget of 1e8
@@ -211,16 +221,25 @@ class TestGaussGrid:
         assert est.log_value == -math.inf
         assert est.value == 0.0
 
-    def test_negative_integrand_is_rejected(self):
-        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
+    # every scheme goes through integrate_simplex_log, so the value
+    # checks must hold on each route; the oracle spec is loose because
+    # the first evaluation already fails
+    _EVERY_SCHEME = pytest.mark.parametrize("spec", [
+        QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8),
+        QuadratureSpec(scheme="monte_carlo", samples=64),
+        QuadratureSpec(scheme="nested_oracle", rel_tol=1e-4),
+    ], ids=lambda spec: spec.scheme)
+
+    @_EVERY_SCHEME
+    def test_negative_integrand_is_rejected(self, spec):
         with pytest.raises(IntegrationError, match="negative"):
             integrate_simplex(3, lambda p: p[0] - 0.5, spec)
 
-    def test_nan_integrand_is_rejected(self):
-        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
-        with pytest.raises(IntegrationError):
+    @_EVERY_SCHEME
+    def test_nan_integrand_is_rejected(self, spec):
+        with pytest.raises(IntegrationError, match="NaN or infinity"):
             integrate_simplex(3, lambda p: math.nan, spec)
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match="NaN or infinity"):
             integrate_simplex_log(
                 3, lambda points: np.full(points.shape[0], math.inf), spec
             )
