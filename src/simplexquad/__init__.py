@@ -7,96 +7,23 @@ and moment ratios through log-gamma arithmetic. The numerical routes
 simplex after a spherical change of variables that turns the simplex
 into an axis-aligned box of angles. ``expressions`` supplies a small
 parser for prior weight functions used by the command line tool.
+
+Each module's ``__all__`` decides which of its names are public; the
+package re-exports exactly those.
 """
 
-from .expressions import (
-    GRAMMAR_VERSION,
-    EvaluationError,
-    ExpressionSyntaxError,
-    PriorExpression,
-    evaluate,
-    evaluate_batch,
-    format_expression,
-    parse,
-)
-from .moments import (
-    as_exponent_vector,
-    covariance,
-    log_norm_integral,
-    mean,
-    means,
-    moment,
-    second_moment,
-    skewness,
-    std_dev,
-    variance,
-)
-from .quadrature import (
-    BUDGET_ENV_VAR,
-    DEFAULT_EVAL_BUDGET,
-    IntegralEstimate,
-    IntegrationError,
-    QuadratureSpec,
-    gauss_legendre,
-    integrate_separable,
-    integrate_simplex,
-    integrate_simplex_log,
-    nested_oracle,
-    power_log_integrand,
-    resolve_eval_budget,
-)
-from .special import log_beta, log_factorial, log_gamma
-from .spherical import (
-    angles_to_simplex,
-    log_jacobian,
-    log_kernel,
-    simplex_to_angles,
-)
+from . import expressions, moments, quadrature, special, spherical
+from .expressions import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .special import *  # noqa: F401,F403
+from .spherical import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # special functions
-    "log_gamma",
-    "log_beta",
-    "log_factorial",
-    # spherical coordinates
-    "angles_to_simplex",
-    "simplex_to_angles",
-    "log_jacobian",
-    "log_kernel",
-    # closed-form moments
-    "as_exponent_vector",
-    "log_norm_integral",
-    "moment",
-    "mean",
-    "means",
-    "second_moment",
-    "variance",
-    "std_dev",
-    "skewness",
-    "covariance",
-    # quadrature
-    "QuadratureSpec",
-    "IntegralEstimate",
-    "IntegrationError",
-    "integrate_simplex",
-    "integrate_simplex_log",
-    "integrate_separable",
-    "nested_oracle",
-    "gauss_legendre",
-    "power_log_integrand",
-    "DEFAULT_EVAL_BUDGET",
-    "BUDGET_ENV_VAR",
-    "resolve_eval_budget",
-    # prior expressions
-    "PriorExpression",
-    "ExpressionSyntaxError",
-    "EvaluationError",
-    "parse",
-    "evaluate",
-    "evaluate_batch",
-    "format_expression",
-    "GRAMMAR_VERSION",
-]
+__all__ = ["__version__"]
+__all__ += special.__all__
+__all__ += spherical.__all__
+__all__ += moments.__all__
+__all__ += quadrature.__all__
+__all__ += expressions.__all__

@@ -49,12 +49,11 @@ from .quadrature import (
     resolve_eval_budget,
 )
 
-__all__ = ["main", "build_parser", "cmd_moments", "cmd_integrate", "cmd_compare"]
+__all__ = ["main", "build_parser"]
 
 FORMAT_VERSION = 1
 
 _DEFAULT_TOL = 1e-8
-_DEFAULT_NODES = 32
 
 
 class _InputError(Exception):
@@ -115,9 +114,9 @@ def build_parser():
         default="gauss",
         help="gauss: tensor Gauss grid; mc: Monte Carlo; oracle: brute force",
     )
-    p_integrate.add_argument("--nodes", type=int, default=_DEFAULT_NODES)
-    p_integrate.add_argument("--samples", type=int, default=100_000)
-    p_integrate.add_argument("--seed", type=int, default=0)
+    p_integrate.add_argument("--nodes", type=int, default=QuadratureSpec.nodes_per_axis)
+    p_integrate.add_argument("--samples", type=int, default=QuadratureSpec.samples)
+    p_integrate.add_argument("--seed", type=int, default=QuadratureSpec.seed)
     p_integrate.add_argument(
         "--tol",
         type=float,
@@ -134,7 +133,7 @@ def build_parser():
         help="cross-check the exact, separable, grid and oracle routes",
     )
     add_common(p_compare)
-    p_compare.add_argument("--nodes", type=int, default=_DEFAULT_NODES)
+    p_compare.add_argument("--nodes", type=int, default=QuadratureSpec.nodes_per_axis)
     p_compare.add_argument(
         "--tol",
         type=float,
@@ -219,23 +218,15 @@ def _moment_multi_index(indices, n):
     return a
 
 
-def _exp_or_none(log_value):
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return None
-
-
 def _make_report(command, counts, args, results, evaluations, wall_time,
-                 extra_inputs=None):
+                 extra_inputs):
     inputs = {
         "counts": [float(v) for v in counts],
-        "nodes": int(getattr(args, "nodes", _DEFAULT_NODES)),
+        "nodes": int(getattr(args, "nodes", QuadratureSpec.nodes_per_axis)),
         "tol": float(getattr(args, "tol", _DEFAULT_TOL)),
         "eval_budget": int(resolve_eval_budget(None)),
+        **extra_inputs,
     }
-    if extra_inputs:
-        inputs.update(extra_inputs)
     return {
         "format_version": FORMAT_VERSION,
         "command": command,
@@ -248,9 +239,7 @@ def _make_report(command, counts, args, results, evaluations, wall_time,
     }
 
 
-def cmd_moments(args):
-    start = time.perf_counter()
-    counts = _resolve_counts(args)
+def cmd_moments(args, counts):
     n = counts.size
     indices = _parse_moment_indices(args.moment, n)
 
@@ -268,13 +257,7 @@ def cmd_moments(args):
             "index": indices,
             "value": moment(counts, _moment_multi_index(indices, n)),
         }
-    report = _make_report(
-        "moments", counts, args, results,
-        evaluations=0,
-        wall_time=time.perf_counter() - start,
-        extra_inputs={"moment": indices},
-    )
-    return report, 0
+    return results, 0, {"moment": indices}, 0
 
 
 def _quadrature_spec(args):
@@ -305,9 +288,7 @@ def _integrate_once(counts, expr, spec):
     return integrate_simplex_log(counts.size, log_f, spec)
 
 
-def cmd_integrate(args):
-    start = time.perf_counter()
-    counts = _resolve_counts(args)
+def cmd_integrate(args, counts):
     n = counts.size
     indices = _parse_moment_indices(args.moment, n)
     try:
@@ -322,9 +303,10 @@ def cmd_integrate(args):
 
     estimate = _integrate_once(counts, expr, spec)
     evaluations = estimate.evaluations
+    value = estimate.value
     results = {
         "log_value": estimate.log_value,
-        "value": _exp_or_none(estimate.log_value),
+        "value": value if value < math.inf else None,
         "std_error": estimate.std_error,
         "scheme": spec.scheme,
     }
@@ -337,24 +319,17 @@ def cmd_integrate(args):
             "value": math.exp(numerator.log_value - estimate.log_value),
             "log_numerator": numerator.log_value,
         }
-    report = _make_report(
-        "integrate", counts, args, results,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-        extra_inputs={
-            "prior": args.prior,
-            "scheme": spec.scheme,
-            "samples": int(args.samples),
-            "seed": int(args.seed),
-            "moment": indices,
-        },
-    )
-    return report, 0
+    extra_inputs = {
+        "prior": args.prior,
+        "scheme": spec.scheme,
+        "samples": int(args.samples),
+        "seed": int(args.seed),
+        "moment": indices,
+    }
+    return results, evaluations, extra_inputs, 0
 
 
-def cmd_compare(args):
-    start = time.perf_counter()
-    counts = _resolve_counts(args)
+def cmd_compare(args, counts):
     n = counts.size
 
     exact_log = log_norm_integral(counts)
@@ -413,12 +388,7 @@ def cmd_compare(args):
         "max_relative_deviation": max_deviation,
         "within_tolerance": within,
     }
-    report = _make_report(
-        "compare", counts, args, results,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-    )
-    return report, 0 if within else 4
+    return results, evaluations, {}, 0 if within else 4
 
 
 def _plain_lines(report):
@@ -451,15 +421,27 @@ def _emit(report, plain):
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
+# each step gets (args, counts) and returns
+# (results, evaluations, extra_inputs, exit_code); main adds the rest
+_COMMANDS = {
+    "moments": cmd_moments,
+    "integrate": cmd_integrate,
+    "compare": cmd_compare,
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "moments":
-            report, code = cmd_moments(args)
-        elif args.command == "integrate":
-            report, code = cmd_integrate(args)
-        else:
-            report, code = cmd_compare(args)
+        start = time.perf_counter()
+        counts = _resolve_counts(args)
+        results, evaluations, extra_inputs, code = _COMMANDS[args.command](
+            args, counts
+        )
+        report = _make_report(
+            args.command, counts, args, results, evaluations,
+            time.perf_counter() - start, extra_inputs,
+        )
     except (_InputError, ExpressionSyntaxError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

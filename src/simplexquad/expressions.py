@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "GRAMMAR_VERSION",
-    "MAX_NODES",
     "PriorExpression",
     "ExpressionSyntaxError",
     "EvaluationError",

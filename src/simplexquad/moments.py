@@ -8,8 +8,8 @@ prod p_i^{m_i} on the simplex. Its normalization integral is
 
 which for integer counts reads prod_i m_i! / (N + n - 1)! with
 N = sum m_i. Every moment E[prod p_i^{a_i}] is a ratio of two such
-integrals, I(m + a) / I(m), so all arithmetic happens on logarithms
-and counts in the thousands neither overflow nor lose the ratio.
+integrals, I(m + a) / I(m): a ratio of rising factorials for integer
+a, exact at any count, and a difference of logarithms for real a.
 
 Each marginal p_i is Beta(a, b) with a = m_i + 1 and b = N + n - a
 (Johnson, Kotz & Balakrishnan, Continuous Multivariate Distributions,
@@ -56,6 +56,9 @@ def as_exponent_vector(m):
     return m
 
 
+_EXACT_ORDER = 100_000  # largest |a| done factor by factor, in O(|a|)
+
+
 def _bin_index(i, n):
     if not float(i).is_integer() or not 1 <= int(i) <= n:
         raise IndexError(f"bin index must be an integer in 1..{n}, got {i!r}")
@@ -76,10 +79,12 @@ def log_norm_integral(m) -> float:
 def moment(m, idx) -> float:
     """Return E[prod_i p_i^{a_i}] for the multi-index a = idx.
 
-    Computed as exp(ln I(m + a) - ln I(m)): raising bin i's count by
-    a_i and renormalizing is the same thing as weighting by p_i^{a_i}.
-    Entries of idx may be any reals with m_i + a_i > -1; a_i = q with
-    zeros elsewhere gives the q-th marginal moment of bin i.
+    That is I(m + a) / I(m). Entries of idx may be any reals with
+    m_i + a_i > -1; a_i = q with zeros elsewhere gives the q-th
+    marginal moment of bin i. Non-negative integer a use the rising
+    factorials prod_i (m_i + 1)^{(a_i)} / (N + n)^{(|a|)} as |a|
+    ratios, each at most 1, so nothing overflows or cancels; real a
+    use exp(ln I(m + a) - ln I(m)).
     """
     m = as_exponent_vector(m)
     a = np.asarray(idx, dtype=float)
@@ -91,6 +96,15 @@ def moment(m, idx) -> float:
         raise ValueError("moment index entries must be finite")
     if np.any(m + a <= -1.0):
         raise ValueError("every shifted count m_i + a_i must stay > -1")
+    integer = np.all(a >= 0.0) and np.all(a == np.floor(a))
+    if integer and a.sum() <= _EXACT_ORDER:
+        # numerator factors m_i + 1 + j, j < a_i, in ascending order:
+        # the k-th is at most N + n + k, and the order does not depend
+        # on how the bins are numbered
+        rising = sorted(c + 1.0 + j for c, k in zip(m.tolist(), a.tolist())
+                        for j in range(int(k)))
+        t = _total(m)
+        return math.prod((x / (t + k) for k, x in enumerate(rising)), start=1.0)
     return math.exp(log_norm_integral(m + a) - log_norm_integral(m))
 
 

@@ -95,6 +95,15 @@ def resolve_eval_budget(budget=None):
     return limit
 
 
+def _whole(what, value, least=None):
+    """value as an int; ValueError unless it is a whole number >= least."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Which scheme to run and its knobs.
@@ -115,13 +124,12 @@ class QuadratureSpec:
             raise ValueError(
                 f"scheme must be one of {_SCHEMES}, got {self.scheme!r}"
             )
-        if self.scheme == "gauss_grid" and self.nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be at least 2")
+        if self.scheme == "gauss_grid":
+            nodes = _whole("nodes_per_axis", self.nodes_per_axis, 2)
+            object.__setattr__(self, "nodes_per_axis", nodes)
         if self.scheme == "monte_carlo":
-            if self.samples < 1:
-                raise ValueError("samples must be at least 1")
-            if not float(self.seed).is_integer():
-                raise ValueError("seed must be an integer")
+            object.__setattr__(self, "samples", _whole("samples", self.samples, 1))
+            object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.scheme == "nested_oracle" and not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
 
@@ -315,12 +323,6 @@ def _check_budget(what, needed, limit):
         )
 
 
-def _check_bins(n):
-    if not float(n).is_integer() or int(n) < 2:
-        raise ValueError(f"bin count must be an integer >= 2, got {n!r}")
-    return int(n)
-
-
 def _gauss_grid(n, log_f, nodes, budget):
     total = nodes ** (n - 1)
     _check_budget(f"gauss_grid with {nodes} nodes on {n - 1} axes", total, budget)
@@ -386,7 +388,7 @@ def integrate_simplex_log(n, log_f, spec, budget=None):
     and the command line come through here, so the shape, NaN and +inf
     checks on integrand values hold on every route.
     """
-    n = _check_bins(n)
+    n = _whole("bin count", n, 2)
     if not isinstance(spec, QuadratureSpec):
         raise TypeError("spec must be a QuadratureSpec")
     limit = resolve_eval_budget(budget)

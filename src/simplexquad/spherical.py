@@ -30,7 +30,6 @@ import numpy as np
 from .moments import as_exponent_vector
 
 __all__ = [
-    "HALF_PI",
     "angles_to_simplex",
     "simplex_to_angles",
     "log_jacobian",

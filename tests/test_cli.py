@@ -93,9 +93,16 @@ class TestMomentsCommand:
         assert len(lines) == 13
         assert float(lines[-1]) == pytest.approx(0.5, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", ["2,,1", "a,b", "3", "1,nan,2", "1,-2"])
-    def test_malformed_counts_exit_2(self, bad):
-        result = run_cli("moments", "--counts", bad)
+    # every subcommand reads its counts through the same path in main;
+    # the moments cases keep their bare ids
+    @pytest.mark.parametrize("command, bad", [
+        pytest.param(command, bad,
+                     id=bad if command == "moments" else f"{command}-{bad}")
+        for command in ("moments", "integrate", "compare")
+        for bad in ("2,,1", "a,b", "3", "1,nan,2", "1,-2")
+    ])
+    def test_malformed_counts_exit_2(self, command, bad):
+        result = run_cli(command, "--counts", bad)
         assert result.returncode == 2
         assert result.stdout == ""
         assert "error" in result.stderr

@@ -105,8 +105,9 @@ class TestMomentRatios:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_permutation_equivariance_is_bitwise(self):
-        # fsum is correctly rounded, so reordering the counts cannot
-        # change any of the sums the ratio is built from
+        # fsum is correctly rounded and the rising factors are taken in
+        # ascending order, so reordering the counts cannot change any of
+        # the sums or products the ratio is built from
         rng = np.random.default_rng(18)
         m = rng.uniform(0.0, 9.0, 6)
         a = np.array([2.0, 0.0, 1.0, 0.0, 3.0, 0.0])
@@ -131,6 +132,26 @@ class TestMomentRatios:
             slope = (log_norm_integral(up) - log_norm_integral(down)) / (2 * h)
             exact = float(mpmath.digamma(m[i] + 1.0) - mpmath.digamma(total))
             assert slope == pytest.approx(exact, abs=1e-6)
+
+    @pytest.mark.parametrize("counts, index", [
+        ((10 ** 8, 10 ** 8, 1), (1, 1, 0)),
+        ((10 ** 7, 2 * 10 ** 7, 3 * 10 ** 7), (0, 1, 2)),
+        ((10 ** 6, 3 * 10 ** 6, 5), (1, 1, 1)),
+        ((123456789, 5, 987654321, 0), (3, 0, 2, 1)),
+    ])
+    def test_integer_moments_at_large_counts_are_exact(self, counts, index):
+        # E[prod p_i^{a_i}] = prod (m_i + 1)^(a_i) / (N + n)^(|a|), rising
+        # factorials; a difference of lgamma values loses ~1e-7 here
+        exact = Fraction(1)
+        for c, a in zip(counts, index):
+            for j in range(a):
+                exact *= c + 1 + j
+        total = sum(counts) + len(counts)
+        for j in range(sum(index)):
+            exact /= total + j
+        value = moment(np.array(counts, dtype=float), np.array(index, dtype=float))
+        assert type(value) is float
+        assert abs(Fraction(value) - exact) <= exact * Fraction(1, 10 ** 15)
 
     def test_rejects_mismatched_or_invalid_multi_indices(self):
         m = np.array([1.0, 2.0])

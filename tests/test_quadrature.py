@@ -36,6 +36,17 @@ def log_rel_gap(log_a, log_b):
     return abs(math.expm1(log_a - log_b))
 
 
+def test_package_exports_each_public_name_once():
+    names = simplexquad.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(simplexquad, name) is not None
+    # module constants and the raw oracle stay importable from their
+    # modules but are not part of the package API
+    for internal in ("HALF_PI", "MAX_NODES", "nested_simplex_integral"):
+        assert internal not in names
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("count", [2, 3, 7, 16, 31, 32, 64])
     def test_matches_the_reference_implementation(self, count):
@@ -92,8 +103,24 @@ class TestSpecsAndEstimates:
             QuadratureSpec(scheme="monte_carlo", seed=0.5)
         with pytest.raises(ValueError):
             QuadratureSpec(scheme="nested_oracle", rel_tol=0.0)
+        # counts must be whole numbers, not just large enough
+        with pytest.raises(ValueError):
+            QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8.5)
+        with pytest.raises(ValueError):
+            QuadratureSpec(scheme="monte_carlo", samples=1000.5)
         # fields of other schemes are not policed
         QuadratureSpec(scheme="monte_carlo", nodes_per_axis=1)
+
+    def test_whole_float_fields_are_normalized(self):
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8.0)
+        assert spec.nodes_per_axis == 8 and type(spec.nodes_per_axis) is int
+        log_f = power_log_integrand(np.array([1.0, 2.0, 0.0]))
+        expected = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
+        assert integrate_simplex_log(3, log_f, spec) == integrate_simplex_log(
+            3, log_f, expected
+        )
+        mc = QuadratureSpec(scheme="monte_carlo", samples=1000.0, seed=7.0)
+        assert (mc.samples, mc.seed) == (1000, 7)
 
     def test_specs_are_immutable(self):
         spec = QuadratureSpec(scheme="gauss_grid")
