@@ -13,9 +13,11 @@ compare    exact closed form vs separated quadrature vs tensor-grid
 The machine-readable run report (JSON, format_version 1) is the only
 thing written to stdout; diagnostics go to stderr, so pipelines stay
 clean. Floats serialize in shortest round-trip form, which preserves
-all 17 significant digits on re-parse. A fixed invocation (including
-the seed) produces a byte-identical report except for the wall-time
-diagnostic.
+all 17 significant digits on re-parse. Reports are strict JSON: the
+log of a zero integral is written as null, and any other NaN or
+infinity in the results is a numerical failure. A fixed invocation
+(including the seed) produces a byte-identical report except for the
+wall-time diagnostic.
 
 Exit codes: 0 success, 2 malformed input, 3 numerical failure,
 4 tolerance breach in compare.
@@ -58,6 +60,18 @@ _DEFAULT_TOL = 1e-8
 
 class _InputError(Exception):
     pass
+
+
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
 
 
 def build_parser():
@@ -119,7 +133,7 @@ def build_parser():
     p_integrate.add_argument("--seed", type=int, default=QuadratureSpec.seed)
     p_integrate.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=_DEFAULT_TOL,
         help="relative refinement target for --scheme oracle",
     )
@@ -136,7 +150,7 @@ def build_parser():
     p_compare.add_argument("--nodes", type=int, default=QuadratureSpec.nodes_per_axis)
     p_compare.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=_DEFAULT_TOL,
         help="largest tolerated pairwise relative deviation",
     )
@@ -288,6 +302,11 @@ def _integrate_once(counts, expr, spec):
     return integrate_simplex_log(counts.size, log_f, spec)
 
 
+def _log_or_null(log_value):
+    # an integral of zero has log -inf, which JSON cannot hold
+    return log_value if log_value > -math.inf else None
+
+
 def cmd_integrate(args, counts):
     n = counts.size
     indices = _parse_moment_indices(args.moment, n)
@@ -305,19 +324,23 @@ def cmd_integrate(args, counts):
     evaluations = estimate.evaluations
     value = estimate.value
     results = {
-        "log_value": estimate.log_value,
+        "log_value": _log_or_null(estimate.log_value),
         "value": value if value < math.inf else None,
         "std_error": estimate.std_error,
         "scheme": spec.scheme,
     }
     if indices is not None:
+        if estimate.log_value == -math.inf:
+            raise IntegrationError(
+                "the normalizing integral is zero, so the moment is undefined"
+            )
         shifted = counts + _moment_multi_index(indices, n)
         numerator = _integrate_once(shifted, expr, spec)
         evaluations += numerator.evaluations
         results["moment"] = {
             "index": indices,
             "value": math.exp(numerator.log_value - estimate.log_value),
-            "log_numerator": numerator.log_value,
+            "log_numerator": _log_or_null(numerator.log_value),
         }
     extra_inputs = {
         "prior": args.prior,
@@ -402,9 +425,10 @@ def _plain_lines(report):
             lines.append(repr(results["moment"]["value"]))
         return lines
     if command == "integrate":
+        log_value = results["log_value"]
         value = results["value"]
         lines = [
-            repr(results["log_value"]),
+            repr(log_value) if log_value is not None else "-inf",
             repr(value) if value is not None else "inf",
             repr(results["std_error"]),
         ]
@@ -414,11 +438,16 @@ def _plain_lines(report):
     return [repr(results["max_relative_deviation"])]
 
 
-def _emit(report, plain):
+def _render(report, plain):
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise IntegrationError(
+            "a result is NaN or infinite, which the report cannot hold"
+        ) from None
     if plain:
-        sys.stdout.write("\n".join(_plain_lines(report)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        return "\n".join(_plain_lines(report)) + "\n"
+    return text + "\n"
 
 
 # each step gets (args, counts) and returns
@@ -442,13 +471,14 @@ def main(argv=None):
             args.command, counts, args, results, evaluations,
             time.perf_counter() - start, extra_inputs,
         )
+        text = _render(report, args.plain)
     except (_InputError, ExpressionSyntaxError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, EvaluationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args.plain)
+    sys.stdout.write(text)
     return code
 
 

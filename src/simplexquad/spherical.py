@@ -20,10 +20,13 @@ K_j; see log_kernel. Each factor integrates to a Beta function on its
 own, which is what makes the closed-form moments possible.
 
 angles_to_simplex and log_jacobian accept batches: a leading axis of
-angle vectors is mapped elementwise.
+angle vectors is mapped elementwise. On a tensor grid the map and the
+Jacobian factor into per-axis terms; tensor_grid_blocks builds the
+grid's points and log-Jacobian from those, block by block.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -148,14 +151,95 @@ def log_jacobian(theta):
     with np.errstate(divide="ignore"):
         out = np.sum(np.log(2.0 * s * c), axis=-1)
         if n > 2:
-            # exponents 2(n-1-i) are zero on the last axis, so only the
-            # first n-2 axes contribute; keeping the zero-coefficient
-            # term out avoids 0 * (-inf) at boundary angles
-            coef = 2.0 * np.arange(n - 2, 0, -1, dtype=float)
-            out = out + np.sum(coef * np.log(s[..., :-1]), axis=-1)
+            out = out + np.sum(_sin_exponents(n) * np.log(s[..., :-1]), axis=-1)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _sin_exponents(n):
+    # the exponents 2(n-1-i) of sin t_i in the Jacobian, i = 1..n-2.
+    # The last angle's is zero, and leaving its term out avoids
+    # 0 * (-inf) at boundary angles.
+    return 2.0 * np.arange(n - 2, 0, -1, dtype=float)
+
+
+def _map_columns(out, prod, columns, c2, s2):
+    # p_j = (product of sin^2 over the axes before j) * cos^2 on axis j,
+    # written broadcast over the later axes of out; returns the product
+    # of sin^2 over every axis filled in
+    for j in columns:
+        col = np.multiply.outer(prod, c2)
+        out[..., j] = col.reshape(col.shape + (1,) * (out.ndim - 1 - col.ndim))
+        prod = np.multiply.outer(prod, s2)
+    return prod
+
+
+def tensor_grid_blocks(axis, log_weights, n, chunk):
+    """Points and log weights of the tensor grid axis^(n-1), in blocks.
+
+    Every angle takes its nodes from the 1-D axis, so the points are the
+    index tuples (i_1, ..., i_{n-1}) in C order. Yields (points, logs)
+    per block: points as angles_to_simplex gives them, shape (count, n),
+    and logs = (sum of log_weights over the indices) + log_jacobian, a
+    fresh array.
+
+    The weights, the map and the Jacobian factor into per-axis terms
+    (log w, log 2 sin t cos t, 2(n-1-i) log sin t, sin^2 t, cos^2 t),
+    computed once on the axis after one range check. The leading
+    indices are flattened into rows, with their partial sums and
+    products kept per row; a block is a run of whole rows times every
+    trailing index, filled in by outer sums and products. The trailing
+    axes are as many as fit in a chunk, but at least one when n > 2, so
+    a block exceeds chunk points only if one axis does.
+
+    Sums and products run left to right over the angles, as in the
+    per-point functions. numpy sums fewer than eight terms that way, so
+    up to n = 8 every value equals the per-point one bit for bit (from
+    n = 9 on np.sum pairs terms, and the two agree to roundoff).
+    """
+    axis = np.asarray(axis, dtype=float)
+    _check_angle_range(axis)
+    k = axis.size
+    d = n - 1
+    tail = min(1, d - 1)
+    while tail < d - 1 and k ** (tail + 1) <= chunk:
+        tail += 1
+    head = d - tail
+    step = max(chunk // k ** tail, 1)
+
+    s = np.sin(axis)
+    c = np.cos(axis)
+    with np.errstate(divide="ignore"):
+        log_sc = np.log(2.0 * s * c)
+        log_s = [coef * np.log(s) for coef in _sin_exponents(n)]
+    s2 = np.square(s)
+    c2 = np.square(c)
+
+    # per row: p_1..p_head, the product of sin^2 over the head axes,
+    # and the head parts of the three sums; reduce(np.add.outer, ...)
+    # adds left to right and gives each array its own axis
+    head_p = np.empty((k,) * head + (head,))
+    head_prod = _map_columns(head_p, 1.0, range(head), c2, s2).ravel()
+    head_p = head_p.reshape(-1, head)
+    head_w = reduce(np.add.outer, [log_weights] * head).ravel()
+    head_l = reduce(np.add.outer, [log_sc] * head).ravel()
+    if d > 1:
+        head_c = reduce(np.add.outer, log_s[:head]).ravel()
+
+    for start in range(0, k ** head, step):
+        rows = slice(start, start + step)
+        count = head_prod[rows].size
+        points = np.empty((count,) + (k,) * tail + (n,))
+        points[..., :head] = head_p[rows].reshape((count,) + (1,) * tail + (head,))
+        points[..., d] = _map_columns(points, head_prod[rows], range(head, d), c2, s2)
+        log_jac = reduce(np.add.outer, [head_l[rows]] + [log_sc] * tail)
+        if d > 1:
+            # sin t has no term on the last axis: broadcast along it
+            log_c = reduce(np.add.outer, [head_c[rows]] + log_s[head:])
+            log_jac = log_jac + log_c[..., None]
+        log_w = reduce(np.add.outer, [head_w[rows]] + [log_weights] * tail)
+        yield points.reshape(-1, n), (log_w + log_jac).ravel()
 
 
 def log_kernel(j, n, m, theta_j):

@@ -345,3 +345,48 @@ class TestCompareCommand:
         lines = result.stdout.splitlines()
         assert len(lines) == 1
         assert 0.0 <= float(lines[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["integrate", "compare"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_positive_and_finite(command, tol):
+    result = run_cli(command, "--counts", "1,1", "--tol", tol)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--tol" in result.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+class TestZeroIntegrals:
+    def test_zero_integral_reports_null_log_value(self):
+        result = run_cli("integrate", "--counts", "1,1", "--prior", "0")
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
+        assert report["results"]["log_value"] is None
+        assert report["results"]["value"] == 0.0
+
+    def test_plain_output_prints_minus_inf_for_the_log(self):
+        result = run_cli("integrate", "--counts", "1,1", "--prior", "0",
+                         "--plain")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[:2] == ["-inf", "0.0"]
+
+    def test_moment_over_a_zero_normalizer_exits_3(self):
+        result = run_cli("integrate", "--counts", "1,1", "--prior", "0",
+                         "--moment", "1")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "numerical failure" in result.stderr
+
+    def test_non_finite_results_never_reach_the_report(self):
+        from simplexquad.cli import _render
+        from simplexquad.quadrature import IntegrationError
+
+        for plain in (False, True):
+            with pytest.raises(IntegrationError, match="NaN or infinite"):
+                _render({"command": "compare",
+                         "results": {"max_relative_deviation": math.nan}},
+                        plain)

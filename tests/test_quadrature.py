@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import simplexquad
+from simplexquad import quadrature
 from simplexquad import (
     BUDGET_ENV_VAR,
     DEFAULT_EVAL_BUDGET,
@@ -29,6 +30,8 @@ from simplexquad import (
     power_log_integrand,
     resolve_eval_budget,
 )
+from simplexquad.quadrature import _LogSumAccumulator, _angle_rule
+from simplexquad.spherical import angles_to_simplex, log_jacobian, tensor_grid_blocks
 
 
 def log_rel_gap(log_a, log_b):
@@ -278,6 +281,92 @@ class TestGaussGrid:
                 3, lambda points: np.ones((points.shape[0], 2)), spec,
                 vectorized=True,
             )
+
+
+def _tilted_log_f(points):
+    # a power term times the prior exp(-2 p1) (1 + p2^2): it does not
+    # separate into per-angle factors
+    power = power_log_integrand(np.linspace(0.0, 2.5, points.shape[1]))
+    return power(points) - 2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
+
+
+def _grid_and_reference(n, nodes, chunk):
+    # each block of the factored grid beside the per-point map and log
+    # weights of the same points, taken in C order as one batch
+    theta, log_w = _angle_rule(nodes)
+    index = np.ascontiguousarray(
+        np.indices((nodes,) * (n - 1)).reshape(n - 1, -1).T
+    )
+    start = 0
+    for points, logs in tensor_grid_blocks(theta, log_w, n, chunk):
+        rows = index[start:start + points.shape[0]]
+        start += points.shape[0]
+        th = theta[rows]
+        reference = np.sum(log_w[rows], axis=1)
+        reference += log_jacobian(th)
+        yield points, logs, angles_to_simplex(th), reference
+    assert start == nodes ** (n - 1)
+
+
+class TestFactoredGrid:
+    """The grid is built from per-axis factors in blocks of whole
+    leading-index rows; these tests pin it to the per-point map,
+    Jacobian and reduction and bound the size of what it hands the
+    integrand."""
+
+    @pytest.mark.parametrize("n, nodes", [
+        (n, nodes)
+        for n in range(2, 7)
+        for nodes in (5, 9, 24, 33)
+        if nodes ** (n - 1) <= 400_000
+    ])
+    def test_matches_the_per_point_reference_bitwise(self, monkeypatch, n, nodes):
+        # a few hundred points per block: several blocks, the last one
+        # partial for most cases
+        chunk = 300
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        acc = _LogSumAccumulator()
+        for points, logs, ref_points, ref_logs in _grid_and_reference(n, nodes, chunk):
+            assert np.array_equal(points, ref_points)
+            assert np.array_equal(logs, ref_logs)
+            acc.add(ref_logs + _tilted_log_f(ref_points))
+
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        est = integrate_simplex_log(n, _tilted_log_f, spec)
+        assert est.log_value == acc.log_sum
+
+    def test_nine_bins_agree_with_the_per_point_sums_to_roundoff(self):
+        # np.sum pairs eight or more terms per point, while the grid
+        # adds them left to right; the map's products stay bitwise
+        for points, logs, ref_points, ref_logs in _grid_and_reference(9, 4, 1 << 18):
+            assert np.array_equal(points, ref_points)
+            np.testing.assert_allclose(
+                logs, ref_logs, rtol=8 * np.finfo(float).eps, atol=0.0
+            )
+
+    @pytest.mark.parametrize("n, nodes, chunk", [
+        (2, 33, 300),
+        (4, 24, 300),
+        (5, 9, 300),
+        (5, 32, 1 << 18),
+        (4, 64, 1 << 18),
+        (6, 7, 1 << 10),
+    ])
+    def test_batches_stay_within_a_chunk(self, monkeypatch, n, nodes, chunk):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        sizes = []
+
+        def log_f(points):
+            sizes.append(points.shape[0])
+            return np.zeros(points.shape[0])
+
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        est = integrate_simplex_log(n, log_f, spec)
+        assert max(sizes) <= chunk
+        assert sum(sizes) == nodes ** (n - 1) == est.evaluations
+        if nodes & (nodes - 1) == 0:
+            # power-of-two nodes: blocks end where the chunks end
+            assert all(size == chunk for size in sizes[:-1])
 
 
 class TestSeparable:
