@@ -17,6 +17,8 @@ Ch. 49). Mean, variance, skewness and covariance are the Beta and
 Dirichlet closed forms in a and b, with the differences of raw
 moments cancelled symbolically, so they keep full precision at large
 counts where a subtraction of raw moments would lose every digit.
+b is summed from the other bins and each form is a product of ratios
+like a / (a + b), so neither a dominant count nor a huge total breaks them.
 
 Non-integer counts are fine everywhere (they arise from fractional
 pseudo-counts); each m_i only has to stay above -1 so that the Gamma
@@ -126,12 +128,17 @@ def means(m):
     return (m + 1.0) / _total(m)
 
 
+def _beta_marginal(m, i):
+    # bin i's Beta(a, b), b summed from the other bins, not N + n - a
+    m = as_exponent_vector(m)
+    i0 = _bin_index(i, m.size)
+    return float(m[i0]) + 1.0, math.fsum([*np.delete(m, i0), m.size - 1])
+
+
 def second_moment(m, i) -> float:
     """E[p_i^2] = (m_i + 2)(m_i + 1) / ((N + n + 1)(N + n))."""
-    m = as_exponent_vector(m)
-    i = _bin_index(i, m.size)
-    t = _total(m)
-    return (m[i] + 2.0) * (m[i] + 1.0) / ((t + 1.0) * t)
+    a, b = _beta_marginal(m, i)
+    return (a / (a + b)) * ((a + 1.0) / (a + b + 1.0))
 
 
 def variance(m, i) -> float:
@@ -141,10 +148,9 @@ def variance(m, i) -> float:
     which is E[p_i^2] - E[p_i]^2 with the cancellation done
     symbolically.
     """
-    m = as_exponent_vector(m)
-    i = _bin_index(i, m.size)
-    t = _total(m)
-    return (m[i] + 1.0) * (t - m[i] - 1.0) / (t * t * (t + 1.0))
+    a, b = _beta_marginal(m, i)
+    t = a + b
+    return (a / t) * (b / t) / (t + 1.0)
 
 
 def std_dev(m, i) -> float:
@@ -159,11 +165,10 @@ def skewness(m, i) -> float:
     a = m_i + 1 and b = N + n - a. Zero for symmetric marginals;
     positive means a tail toward larger p_i.
     """
-    m = as_exponent_vector(m)
-    t = _total(m)
-    a = m[_bin_index(i, m.size)] + 1.0
-    b = t - a
-    return 2.0 * (b - a) * math.sqrt(t + 1.0) / ((t + 2.0) * math.sqrt(a * b))
+    a, b = _beta_marginal(m, i)
+    t = a + b
+    spread = math.sqrt(t + 1.0) / (math.sqrt(a) * math.sqrt(b))
+    return 2.0 * ((b - a) / (t + 2.0)) * spread
 
 
 def covariance(m, i, j) -> float:
@@ -180,4 +185,4 @@ def covariance(m, i, j) -> float:
     if i0 == j0:
         return variance(m, i)
     t = _total(m)
-    return -((m[i0] + 1.0) * (m[j0] + 1.0)) / (t * t * (t + 1.0))
+    return -((m[i0] + 1.0) / t) * ((m[j0] + 1.0) / t) / (t + 1.0)

@@ -23,6 +23,8 @@ __all__ = ["IntegrationError", "nested_simplex_integral", "gauss_kronrod"]
 class IntegrationError(RuntimeError):
     """Numerical integration could not meet its contract."""
 
+    evaluations = 0  # what a failed nested_simplex_integral had spent
+
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1], the classical
 # published constants. Nodes are symmetric; weights listed per node.
@@ -68,11 +70,11 @@ class _Budget:
         self.remaining = int(limit)
 
     def spend(self, count):
-        self.remaining -= count
-        if self.remaining < 0:
+        if count > self.remaining:
             raise IntegrationError(
                 "nested integration exhausted its evaluation budget"
             )
+        self.remaining -= count
 
 
 def gauss_kronrod(f, a, b, budget=None):
@@ -203,7 +205,7 @@ def nested_simplex_integral(integrand, n=None, rel_tol=1e-10, max_evaluations=10
                 return level(factor * _pow(p, m[k]), remaining - p, k + 1)
             return _integrate(outer, 0.0, remaining, rel_tol, budget)
 
-        value = level(1.0, 1.0, 0)
+        start = 1.0  # the product of the outer factors
     else:
         def level(prefix, remaining, k):
             if k == n - 2:
@@ -218,6 +220,11 @@ def nested_simplex_integral(integrand, n=None, rel_tol=1e-10, max_evaluations=10
                 return level(prefix + [p], remaining - p, k + 1)
             return _integrate(outer, 0.0, remaining, rel_tol, budget)
 
-        value = level([], 1.0, 0)
+        start = []  # the outer probabilities
 
+    try:
+        value = level(start, 1.0, 0)
+    except IntegrationError as exc:
+        exc.evaluations = max_evaluations - budget.remaining
+        raise
     return value, max_evaluations - budget.remaining

@@ -35,9 +35,10 @@ nested_oracle
     oracle module). Kept free of any shared code with the angle-based
     schemes so it can serve as independent ground truth.
 
-Sums of integrand values accumulate in log space with a running max
-shift: products of many bin powers underflow linear doubles long
-before they stop being meaningful.
+Integrands come in one form, through one core (integrate_simplex_log):
+a callable that maps a (k, n) batch of simplex points to k log values.
+Sums accumulate in log space with a running max shift: products of many
+bin powers underflow linear doubles long before they stop mattering.
 """
 
 import math
@@ -67,7 +68,6 @@ __all__ = [
     "resolve_eval_budget",
     "gauss_legendre",
     "power_log_integrand",
-    "integrate_simplex",
     "integrate_simplex_log",
     "integrate_separable",
     "nested_oracle",
@@ -386,14 +386,12 @@ def _monte_carlo(n, log_f, samples, seed, budget):
 def integrate_simplex_log(n, log_f, spec, budget=None):
     """Integrate exp(log_f(p)) over the simplex, log-domain integrand.
 
-    log_f must be vectorized: it gets a (k, n) array of simplex points
-    and returns k log values (-inf encodes an integrand zero). Use
-    this instead of integrate_simplex when the integrand itself would
-    underflow linear doubles.
-
-    This is the one integration core: every scheme, integrate_simplex
-    and the command line come through here, so the shape, NaN and +inf
-    checks on integrand values hold on every route.
+    log_f maps a (k, n) array of simplex points to k log values; -inf
+    encodes an integrand zero. For a linear f pass np.log(f(points)):
+    a negative f then comes in as NaN and is rejected. This is the one
+    integration core: every scheme and the command line come through
+    here, so the shape, NaN and +inf checks on integrand values hold
+    on every route.
     """
     n = _whole("bin count", n, 2)
     if not isinstance(spec, QuadratureSpec):
@@ -413,53 +411,6 @@ def integrate_simplex_log(n, log_f, spec, budget=None):
         return float(np.exp(_checked_log_values(log_f, row, 1)[0]))
 
     return nested_oracle(f, n=n, spec=spec, budget=limit)
-
-
-def integrate_simplex(n, f, spec, budget=None, vectorized=False):
-    """Integrate a nonnegative f(p) over the n-bin simplex.
-
-    A thin adapter: f is wrapped as log f and handed to
-    integrate_simplex_log, which runs every scheme and checks the
-    values on every route.
-
-    Parameters
-    ----------
-    n : int
-        Number of bins (the integral itself is (n-1)-dimensional).
-    f : callable
-        Integrand on simplex points. By default it is called with one
-        1-D probability vector at a time; with vectorized=True it gets
-        a (k, n) array and must return k values. Negative or
-        non-finite values abort the run: integrands here are densities
-        and a sign flip or NaN would silently poison the log-space sum.
-    spec : QuadratureSpec
-    budget : int, optional
-        Evaluation cap override; see resolve_eval_budget.
-
-    Returns
-    -------
-    IntegralEstimate
-    """
-
-    def log_f(points):
-        if vectorized:
-            values = np.asarray(f(points), dtype=float)
-        else:
-            values = np.fromiter(
-                (float(f(row)) for row in points), dtype=float,
-                count=points.shape[0],
-            )
-        # the core rejects a wrong shape, NaN and +inf; log(-x) would
-        # only show up there as NaN, so the sign is checked here
-        if np.any(values < 0.0):
-            raise IntegrationError(
-                "integrand returned a negative value; simplex integrands "
-                "must be nonnegative"
-            )
-        with np.errstate(divide="ignore"):
-            return np.log(values)
-
-    return integrate_simplex_log(n, log_f, spec, budget=budget)
 
 
 def integrate_separable(m, spec=None, budget=None):

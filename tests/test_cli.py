@@ -106,6 +106,23 @@ class TestMomentsCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "error" in result.stderr
+        if bad == "3":
+            assert "two bins" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("--counts", "1e20,1e-3", "--moment", "2,2"),
+        ("--counts", "1e300,1e300"),
+    ])
+    def test_dominant_and_huge_counts_give_a_report(self, args):
+        # a dominant count once broke std_dev (math domain error) and a
+        # huge total overflowed the variance; report_of also requires
+        # an empty stderr, so no overflow warning either
+        result = run_cli("moments", *args)
+        report = report_of(result)
+        json.loads(result.stdout, parse_constant=_reject_constant)
+        variances = report["results"]["variance"]
+        assert all(0.0 < v < 1.0 for v in variances)
+        assert variances[0] == variances[1]
 
     def test_bad_moment_index_exits_2(self):
         result = run_cli("moments", "--counts", "1,1", "--moment", "5")
@@ -339,6 +356,19 @@ class TestCompareCommand:
         report = json.loads(result.stdout)
         assert report["results"]["within_tolerance"] is False
         assert report["results"]["max_relative_deviation"] > 1e-12
+
+    def test_evaluations_count_an_oracle_that_gave_up(self):
+        # the oracle exhausts this budget; its spent evaluations still
+        # count, next to the 3 * 64 separable and 64^3 grid points
+        limit = 2_000_000
+        report = report_of(run_cli(
+            "compare", "--counts", "0.5,2,1.5,3", "--nodes", "64",
+            env_extra={"SIMPLEXQUAD_EVAL_BUDGET": str(limit)},
+        ))
+        assert "budget" in report["results"]["oracle_note"]
+        oracle = report["diagnostics"]["evaluations"] - 3 * 64 - 64 ** 3
+        # the oracle spends its evaluations 15 at a time
+        assert limit - 15 < oracle <= limit
 
     def test_plain_output_is_the_single_deviation_number(self):
         result = run_cli("compare", "--counts", "1,1,1", "--plain")

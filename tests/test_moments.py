@@ -8,6 +8,7 @@ forms, which share no algebra beyond log_gamma).
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -284,6 +285,37 @@ class TestClosedForms:
                                  total * total * (total + 1))
                 got = Fraction(covariance(m, i, j))
                 assert abs(got - exact) <= abs(exact) * Fraction(1, 10 ** 14)
+
+    @pytest.mark.parametrize("counts", [
+        (1e20, 1e-3),
+        (1e300, 1e300),
+        (1e-3, 5.0, 1e20),
+    ])
+    def test_dominant_and_huge_counts_stay_exact(self, counts):
+        # one dominant count must not cancel b = N + n - a of the other
+        # bins, and no step may overflow near the top of the doubles;
+        # references are the Beta and Dirichlet forms in 50 digits
+        m = np.array(counts)
+        c = [mpmath.mpf(v) + 1 for v in counts]
+        t = mpmath.fsum(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(1, len(c) + 1):
+                a = c[i - 1]
+                b = t - a
+                var = a * b / (t * t * (t + 1))
+                skew = 2 * (b - a) * mpmath.sqrt(t + 1) / (
+                    (t + 2) * mpmath.sqrt(a * b))
+                got = (variance(m, i), std_dev(m, i), skewness(m, i),
+                       second_moment(m, i))
+                want = (var, mpmath.sqrt(var), skew, a * (a + 1) / (t * (t + 1)))
+                for g, w in zip(got, want):
+                    assert g == pytest.approx(float(w), rel=1e-14, abs=0)
+                for j in range(1, len(c) + 1):
+                    if j != i:
+                        cov = -a * c[j - 1] / (t * t * (t + 1))
+                        assert covariance(m, i, j) == pytest.approx(
+                            float(cov), rel=1e-14, abs=0)
 
     def test_covariance_matches_generic_ratio(self):
         rng = np.random.default_rng(44)
