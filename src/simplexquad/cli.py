@@ -281,22 +281,16 @@ def _quadrature_spec(args):
     return QuadratureSpec(scheme="nested_oracle", rel_tol=args.tol)
 
 
-def _prior_weighted_log_integrand(counts, expr):
-    base = power_log_integrand(counts)
+def _log_prior(expr):
     if expr.ast == ("num", 1.0):
-        return base
+        # the default prior costs no expression evaluation per point
+        return lambda points: np.zeros(points.shape[0])
 
-    def log_f(points):
-        prior = evaluate_batch(expr, points)
+    def log_prior(points):
         with np.errstate(divide="ignore"):
-            return base(points) + np.log(prior)
+            return np.log(evaluate_batch(expr, points))
 
-    return log_f
-
-
-def _integrate_once(counts, expr, spec):
-    log_f = _prior_weighted_log_integrand(counts, expr)
-    return integrate_simplex_log(counts.size, log_f, spec)
+    return log_prior
 
 
 def _log_or_null(log_value):
@@ -316,8 +310,9 @@ def cmd_integrate(args, counts):
             f"prior references p{expr.max_index} but there are only {n} bins"
         )
     spec = _quadrature_spec(args)
+    log_prior = _log_prior(expr)
 
-    estimate = _integrate_once(counts, expr, spec)
+    estimate = integrate_simplex_log(counts, log_prior, spec)
     evaluations = estimate.evaluations
     value = estimate.value
     results = {
@@ -332,7 +327,7 @@ def cmd_integrate(args, counts):
                 "the normalizing integral is zero, so the moment is undefined"
             )
         shifted = counts + _moment_multi_index(indices, n)
-        numerator = _integrate_once(shifted, expr, spec)
+        numerator = integrate_simplex_log(shifted, log_prior, spec)
         evaluations += numerator.evaluations
         results["moment"] = {
             "index": indices,
@@ -355,7 +350,8 @@ def cmd_compare(args, counts):
     exact_log = log_norm_integral(counts)
     grid_spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=args.nodes)
     separable = integrate_separable(counts, grid_spec)
-    grid = integrate_simplex_log(n, power_log_integrand(counts), grid_spec)
+    # the power term per point: this grid checks the map and Jacobian
+    grid = integrate_simplex_log(np.zeros(n), power_log_integrand(counts), grid_spec)
     # every route's evaluations, a failed oracle's included
     evaluations = separable.evaluations + grid.evaluations
 

@@ -111,8 +111,9 @@ def moment(m, idx) -> float:
 
 
 def _total(m) -> float:
-    # N + n, the normalizing total behind every closed-form moment
-    return math.fsum(m) + m.size
+    # N + n, the normalizing total behind every closed-form moment, in
+    # one rounding: fsum(m) + n cancels when counts sit near -1
+    return math.fsum([*m, m.size])
 
 
 def mean(m, i) -> float:

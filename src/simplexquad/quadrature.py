@@ -17,10 +17,10 @@ gauss_grid
     the ends of an angle axis converge more slowly than with the
     unmapped rule ([-0.5, 0.3, 2.7, 1.1]: 2.9e-7 at 32 nodes, 3.0e-8
     at 64). The grid is built from per-axis factors: weights, map and
-    Jacobian are computed once on the axis and combined by outer sums
-    and products, in blocks of whole leading-index rows of at most
-    _CHUNK points (spherical.tensor_grid_blocks); only the integrand
-    is evaluated per point.
+    kernel K_j (power times Jacobian) are computed once on the axis
+    and combined by outer sums and products, in blocks of whole rows
+    of at most _CHUNK points (spherical.tensor_grid_blocks); only the
+    prior is evaluated per point.
 monte_carlo
     Uniform sampling of the angle box, weighted by the Jacobian and
     the box volume. Uniform in theta is intentionally NOT uniform on
@@ -36,9 +36,10 @@ nested_oracle
     schemes so it can serve as independent ground truth.
 
 Integrands come in one form, through one core (integrate_simplex_log):
-a callable that maps a (k, n) batch of simplex points to k log values.
-Sums accumulate in log space with a running max shift: products of many
-bin powers underflow linear doubles long before they stop mattering.
+counts m and a log prior, for prod p_i^{m_i} exp(log_prior(p)); the
+grid folds the power into its per-axis factors. Sums accumulate in log
+space with a running max shift: products of many bin powers underflow
+linear doubles long before they stop mattering.
 """
 
 import math
@@ -294,12 +295,6 @@ class _LogSumAccumulator:
         return self.shift + math.log(self.total)
 
 
-def _logsumexp(log_values):
-    acc = _LogSumAccumulator()
-    acc.add(np.asarray(log_values, dtype=float))
-    return acc.log_sum
-
-
 def power_log_integrand(m):
     """Vectorized log integrand for prod p_i^{m_i}.
 
@@ -334,15 +329,24 @@ def _check_budget(what, needed, limit):
         )
 
 
-def _gauss_grid(n, log_f, nodes, budget):
-    total = nodes ** (n - 1)
-    _check_budget(f"gauss_grid with {nodes} nodes on {n - 1} axes", total, budget)
+def _axis_factors(m, nodes):
+    # the axis rule and, per angle j = 1..n-1, the log of its weights
+    # times the kernel K_j: the per-axis factors of prod p^m dp
     theta, log_w = _angle_rule(nodes)
+    n = m.size
+    return theta, [log_w + log_kernel(j, n, m, theta) for j in range(1, n)]
+
+
+def _gauss_grid(m, log_prior, nodes, budget):
+    d = m.size - 1
+    total = nodes ** d
+    _check_budget(f"gauss_grid with {nodes} nodes on {d} axes", total, budget)
+    theta, axis_logs = _axis_factors(m, nodes)
     acc = _LogSumAccumulator()
     # blocks of whole leading-index rows, built from per-axis factors;
     # with a power-of-two node count they end where the chunks end
-    for points, logs in tensor_grid_blocks(theta, log_w, n, _CHUNK):
-        logs += _checked_log_values(log_f, points, points.shape[0])
+    for points, logs in tensor_grid_blocks(theta, axis_logs, _CHUNK):
+        logs += _checked_log_values(log_prior, points, points.shape[0])
         acc.add(logs)
     return acc.log_sum, total
 
@@ -383,26 +387,36 @@ def _monte_carlo(n, log_f, samples, seed, budget):
     return log_mean, std_error, samples
 
 
-def integrate_simplex_log(n, log_f, spec, budget=None):
-    """Integrate exp(log_f(p)) over the simplex, log-domain integrand.
+def integrate_simplex_log(m, log_prior, spec, budget=None):
+    """Integrate prod p_i^{m_i} exp(log_prior(p)) over the simplex.
 
-    log_f maps a (k, n) array of simplex points to k log values; -inf
-    encodes an integrand zero. For a linear f pass np.log(f(points)):
-    a negative f then comes in as NaN and is rejected. This is the one
+    m holds the exponents (counts, each > -1), one per bin. log_prior
+    maps a (k, n) array of simplex points to k log values; -inf
+    encodes a zero. For a general f pass m = np.zeros(n) and
+    np.log(f(points)): a negative f then comes in as NaN and is
+    rejected. gauss_grid folds the power into its per-axis factors;
+    the other schemes add it to log_prior per point. This is the one
     integration core: every scheme and the command line come through
-    here, so the shape, NaN and +inf checks on integrand values hold
-    on every route.
+    here, so the shape, NaN and +inf checks on prior values hold on
+    every route.
     """
-    n = _whole("bin count", n, 2)
+    m = as_exponent_vector(m)
     if not isinstance(spec, QuadratureSpec):
         raise TypeError("spec must be a QuadratureSpec")
     limit = resolve_eval_budget(budget)
     if spec.scheme == "gauss_grid":
-        log_value, evaluations = _gauss_grid(n, log_f, spec.nodes_per_axis, limit)
+        log_value, evaluations = _gauss_grid(m, log_prior, spec.nodes_per_axis, limit)
         return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
+    power = power_log_integrand(m)
+
+    def log_f(points):
+        # the power term plus the checked prior, per sampled point
+        prior = _checked_log_values(log_prior, points, points.shape[0])
+        return power(points) + prior
+
     if spec.scheme == "monte_carlo":
         log_value, std_error, evaluations = _monte_carlo(
-            n, log_f, spec.samples, spec.seed, limit
+            m.size, log_f, spec.samples, spec.seed, limit
         )
         return IntegralEstimate(log_value, std_error, evaluations, spec.scheme)
 
@@ -410,7 +424,7 @@ def integrate_simplex_log(n, log_f, spec, budget=None):
         row = np.asarray(p, dtype=float)[None, :]
         return float(np.exp(_checked_log_values(log_f, row, 1)[0]))
 
-    return nested_oracle(f, n=n, spec=spec, budget=limit)
+    return nested_oracle(f, n=m.size, spec=spec, budget=limit)
 
 
 def integrate_separable(m, spec=None, budget=None):
@@ -418,11 +432,12 @@ def integrate_separable(m, spec=None, budget=None):
 
     The transformed integrand separates into per-angle kernels K_j
     (see spherical.log_kernel), so each axis is a single 1-D sum over
-    the same mapped Gauss-Legendre axis rule gauss_grid uses, and the
-    product telescopes to the same value the full tensor grid would
-    give, at a tiny fraction of the cost. Accuracy is therefore that
-    of gauss_grid: within 1e-12 for integer counts up to 10 at n <= 5
-    and 32 nodes, slower for real counts with end singularities.
+    the per-axis factors gauss_grid combines into its tensor grid (the
+    same mapped Gauss-Legendre rule times K_j). Without a prior the
+    product telescopes to the value the full grid would give, at a
+    tiny fraction of the cost. Accuracy is therefore that of
+    gauss_grid: within 1e-12 for integer counts up to 10 at n <= 5 and
+    32 nodes, slower for real counts with end singularities.
     """
     m = as_exponent_vector(m)
     n = m.size
@@ -435,10 +450,12 @@ def integrate_separable(m, spec=None, budget=None):
         )
     evaluations = (n - 1) * spec.nodes_per_axis
     _check_budget("integrate_separable", evaluations, resolve_eval_budget(budget))
-    theta, log_w = _angle_rule(spec.nodes_per_axis)
+    _, axis_logs = _axis_factors(m, spec.nodes_per_axis)
     log_total = 0.0
-    for j in range(1, n):
-        log_total += _logsumexp(log_w + log_kernel(j, n, m, theta))
+    for logs in axis_logs:
+        acc = _LogSumAccumulator()
+        acc.add(logs)
+        log_total += acc.log_sum
     return IntegralEstimate(log_total, 0.0, evaluations, spec.scheme)
 
 

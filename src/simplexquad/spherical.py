@@ -21,8 +21,8 @@ own, which is what makes the closed-form moments possible.
 
 angles_to_simplex and log_jacobian accept batches: a leading axis of
 angle vectors is mapped elementwise. On a tensor grid the map and the
-Jacobian factor into per-axis terms; tensor_grid_blocks builds the
-grid's points and log-Jacobian from those, block by block.
+kernels factor into per-axis terms; tensor_grid_blocks builds the
+grid's points and log weights from those, block by block.
 """
 
 import math
@@ -151,17 +151,13 @@ def log_jacobian(theta):
     with np.errstate(divide="ignore"):
         out = np.sum(np.log(2.0 * s * c), axis=-1)
         if n > 2:
-            out = out + np.sum(_sin_exponents(n) * np.log(s[..., :-1]), axis=-1)
+            # sin t_i has exponent 2(n-1-i); leaving out the last
+            # angle's zero term avoids 0 * (-inf) at boundary angles
+            sin_exponents = 2.0 * np.arange(n - 2, 0, -1, dtype=float)
+            out = out + np.sum(sin_exponents * np.log(s[..., :-1]), axis=-1)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _sin_exponents(n):
-    # the exponents 2(n-1-i) of sin t_i in the Jacobian, i = 1..n-2.
-    # The last angle's is zero, and leaving its term out avoids
-    # 0 * (-inf) at boundary angles.
-    return 2.0 * np.arange(n - 2, 0, -1, dtype=float)
 
 
 def _map_columns(out, prod, columns, c2, s2):
@@ -175,17 +171,18 @@ def _map_columns(out, prod, columns, c2, s2):
     return prod
 
 
-def tensor_grid_blocks(axis, log_weights, n, chunk):
+def tensor_grid_blocks(axis, axis_logs, chunk):
     """Points and log weights of the tensor grid axis^(n-1), in blocks.
 
     Every angle takes its nodes from the 1-D axis, so the points are the
-    index tuples (i_1, ..., i_{n-1}) in C order. Yields (points, logs)
-    per block: points as angles_to_simplex gives them, shape (count, n),
-    and logs = (sum of log_weights over the indices) + log_jacobian, a
-    fresh array.
+    index tuples (i_1, ..., i_{n-1}) in C order. axis_logs holds one
+    array of per-node log factors per angle (for prod p^m dp, log w +
+    log K_j: the Jacobian is the m = 0 kernel); a point's log weight is
+    their sum over its indices. Yields (points, logs) per block: points
+    as angles_to_simplex gives them, shape (count, n), and logs a fresh
+    array of count log weights.
 
-    The weights, the map and the Jacobian factor into per-axis terms
-    (log w, log 2 sin t cos t, 2(n-1-i) log sin t, sin^2 t, cos^2 t),
+    The map factors into per-axis terms too (sin^2 t, cos^2 t),
     computed once on the axis after one range check. The leading
     indices are flattened into rows, with their partial sums and
     products kept per row; a block is a run of whole rows times every
@@ -193,53 +190,39 @@ def tensor_grid_blocks(axis, log_weights, n, chunk):
     axes are as many as fit in a chunk, but at least one when n > 2, so
     a block exceeds chunk points only if one axis does.
 
-    Sums and products run left to right over the angles, as in the
-    per-point functions. numpy sums fewer than eight terms that way, so
-    up to n = 8 every value equals the per-point one bit for bit (from
-    n = 9 on np.sum pairs terms, and the two agree to roundoff).
+    Sums and products run left to right over the angles: the map equals
+    angles_to_simplex bit for bit, and each log weight is the
+    left-to-right sum of its per-axis terms.
     """
     axis = np.asarray(axis, dtype=float)
     _check_angle_range(axis)
     k = axis.size
-    d = n - 1
+    d = len(axis_logs)
     tail = min(1, d - 1)
     while tail < d - 1 and k ** (tail + 1) <= chunk:
         tail += 1
     head = d - tail
     step = max(chunk // k ** tail, 1)
+    s2 = np.square(np.sin(axis))
+    c2 = np.square(np.cos(axis))
 
-    s = np.sin(axis)
-    c = np.cos(axis)
-    with np.errstate(divide="ignore"):
-        log_sc = np.log(2.0 * s * c)
-        log_s = [coef * np.log(s) for coef in _sin_exponents(n)]
-    s2 = np.square(s)
-    c2 = np.square(c)
-
-    # per row: p_1..p_head, the product of sin^2 over the head axes,
-    # and the head parts of the three sums; reduce(np.add.outer, ...)
-    # adds left to right and gives each array its own axis
+    # per row: p_1..p_head, the product of sin^2 over the head axes and
+    # the head part of the log weight; reduce(np.add.outer, ...) adds
+    # left to right and gives each array its own axis. Starting from
+    # 0.0 keeps a block's logs off the caller's arrays when n = 2.
     head_p = np.empty((k,) * head + (head,))
     head_prod = _map_columns(head_p, 1.0, range(head), c2, s2).ravel()
     head_p = head_p.reshape(-1, head)
-    head_w = reduce(np.add.outer, [log_weights] * head).ravel()
-    head_l = reduce(np.add.outer, [log_sc] * head).ravel()
-    if d > 1:
-        head_c = reduce(np.add.outer, log_s[:head]).ravel()
+    head_logs = reduce(np.add.outer, axis_logs[:head], 0.0).ravel()
 
     for start in range(0, k ** head, step):
         rows = slice(start, start + step)
         count = head_prod[rows].size
-        points = np.empty((count,) + (k,) * tail + (n,))
+        points = np.empty((count,) + (k,) * tail + (d + 1,))
         points[..., :head] = head_p[rows].reshape((count,) + (1,) * tail + (head,))
         points[..., d] = _map_columns(points, head_prod[rows], range(head, d), c2, s2)
-        log_jac = reduce(np.add.outer, [head_l[rows]] + [log_sc] * tail)
-        if d > 1:
-            # sin t has no term on the last axis: broadcast along it
-            log_c = reduce(np.add.outer, [head_c[rows]] + log_s[head:])
-            log_jac = log_jac + log_c[..., None]
-        log_w = reduce(np.add.outer, [head_w[rows]] + [log_weights] * tail)
-        yield points.reshape(-1, n), (log_w + log_jac).ravel()
+        logs = reduce(np.add.outer, axis_logs[head:], head_logs[rows])
+        yield points.reshape(-1, d + 1), logs.ravel()
 
 
 def log_kernel(j, n, m, theta_j):

@@ -165,14 +165,14 @@ def test_criterion_6_gauss_grid_convergence():
             cases.append(rng.integers(0, 11, size=n).tolist())
     for counts in cases:
         m = np.array(counts, dtype=float)
-        est = integrate_simplex_log(m.size, power_log_integrand(m), spec32)
+        est = integrate_simplex_log(np.zeros(m.size), power_log_integrand(m), spec32)
         dev = abs(math.expm1(est.log_value - log_norm_integral(m)))
         if dev > worst:
             worst, worst_case = dev, counts
 
     m_frac = np.array([0.5, 0.0, 2.0, 1.5])
     spec64 = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=64)
-    est = integrate_simplex_log(4, power_log_integrand(m_frac), spec64)
+    est = integrate_simplex_log(np.zeros(4), power_log_integrand(m_frac), spec64)
     frac_dev = abs(math.expm1(est.log_value - log_norm_integral(m_frac)))
     if frac_dev > worst:
         worst, worst_case = frac_dev, m_frac.tolist()
@@ -215,7 +215,7 @@ def test_criterion_8_monte_carlo_calibration():
     hits = 0
     for seed in range(200):
         spec = QuadratureSpec(scheme="monte_carlo", samples=100_000, seed=seed)
-        est = integrate_simplex_log(4, log_f, spec)
+        est = integrate_simplex_log(np.zeros(4), log_f, spec)
         if abs(est.value - exact) <= 5.0 * est.std_error:
             hits += 1
     elapsed = time.perf_counter() - start

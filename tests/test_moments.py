@@ -317,6 +317,25 @@ class TestClosedForms:
                         assert covariance(m, i, j) == pytest.approx(
                             float(cov), rel=1e-14, abs=0)
 
+    def test_counts_near_minus_one_round_the_total_once(self):
+        # N + n nearly cancels here; summed as fsum(m) + n it is rounded
+        # twice and the means drift by ~1e-5. References in 50 digits.
+        counts = (-0.9999999999989165, -0.9999999999970104)
+        m = np.array(counts)
+        c = [mpmath.mpf(v) + 1 for v in counts]
+        t = mpmath.fsum(c)
+        for i in (1, 2):
+            want = float(c[i - 1] / t)
+            assert mean(m, i) == pytest.approx(want, rel=1e-14, abs=0)
+            assert means(m)[i - 1] == pytest.approx(want, rel=1e-14, abs=0)
+        cov = -c[0] * c[1] / (t * t * (t + 1))
+        assert covariance(m, 1, 2) == pytest.approx(float(cov), rel=1e-14, abs=0)
+        # E[p1^2 p2] by rising factorials
+        raw = c[0] * (c[0] + 1) * c[1] / (t * (t + 1) * (t + 2))
+        assert moment(m, np.array([2.0, 1.0])) == pytest.approx(
+            float(raw), rel=1e-14, abs=0
+        )
+
     def test_covariance_matches_generic_ratio(self):
         rng = np.random.default_rng(44)
         for _ in range(200):

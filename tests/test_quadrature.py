@@ -30,7 +30,7 @@ from simplexquad import (
     resolve_eval_budget,
 )
 from simplexquad.quadrature import _LogSumAccumulator, _angle_rule
-from simplexquad.spherical import angles_to_simplex, log_jacobian, tensor_grid_blocks
+from simplexquad.spherical import angles_to_simplex, log_kernel, tensor_grid_blocks
 
 
 def log_rel_gap(log_a, log_b):
@@ -120,8 +120,9 @@ class TestSpecsAndEstimates:
         assert spec.nodes_per_axis == 8 and type(spec.nodes_per_axis) is int
         log_f = power_log_integrand(np.array([1.0, 2.0, 0.0]))
         expected = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
-        assert integrate_simplex_log(3, log_f, spec) == integrate_simplex_log(
-            3, log_f, expected
+        flat = np.zeros(3)
+        assert integrate_simplex_log(flat, log_f, spec) == integrate_simplex_log(
+            flat, log_f, expected
         )
         mc = QuadratureSpec(scheme="monte_carlo", samples=1000.0, seed=7.0)
         assert (mc.samples, mc.seed) == (1000, 7)
@@ -179,23 +180,25 @@ class TestEvalBudget:
         # 32^7 evaluations is over the default budget of 1e8
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_simplex_log(8, power_log_integrand(np.zeros(8)), spec)
+            integrate_simplex_log(
+                np.zeros(8), power_log_integrand(np.zeros(8)), spec
+            )
 
     def test_budget_argument_caps_the_grid(self):
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16)
         with pytest.raises(IntegrationError, match="budget"):
             integrate_simplex_log(
-                3, power_log_integrand(np.zeros(3)), spec, budget=100
+                np.zeros(3), power_log_integrand(np.zeros(3)), spec, budget=100
             )
 
     def test_budget_environment_caps_the_grid(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "300")
         m = np.zeros(3)
         spec_ok = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16)
-        assert integrate_simplex_log(3, power_log_integrand(m), spec_ok)
+        assert integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec_ok)
         spec_big = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_simplex_log(3, power_log_integrand(m), spec_big)
+            integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec_big)
 
     def test_oracle_budget_exhaustion(self):
         spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-10)
@@ -207,7 +210,7 @@ class TestGaussGrid:
     def test_flat_integrand_gives_the_simplex_volume(self):
         # volume of p1 + p2 <= 1 is 1/2
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16)
-        est = integrate_simplex_log(3, lambda p: np.zeros(p.shape[0]), spec)
+        est = integrate_simplex_log(np.zeros(3), lambda p: np.zeros(p.shape[0]), spec)
         assert est.value == pytest.approx(0.5, rel=1e-14, abs=0)
         assert est.std_error == 0.0
         assert est.evaluations == 16 ** 2
@@ -215,7 +218,7 @@ class TestGaussGrid:
     def test_product_integrand_against_two_independent_references(self):
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=24)
         est = integrate_simplex_log(
-            3, lambda p: np.log(p[:, 0] * p[:, 1] * p[:, 2]), spec
+            np.zeros(3), lambda p: np.log(p[:, 0] * p[:, 1] * p[:, 2]), spec
         )
         # route 1: exact factorial form 1!1!1!/5! = 1/120
         assert est.value == pytest.approx(1.0 / 120.0, rel=1e-12, abs=0)
@@ -228,20 +231,20 @@ class TestGaussGrid:
         # class, so this probes genuine convergence, not algebra
         m = np.array([0.5, 0.0, 2.0, 1.5])
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=64)
-        est = integrate_simplex_log(4, power_log_integrand(m), spec)
+        est = integrate_simplex_log(np.zeros(4), power_log_integrand(m), spec)
         assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-10
 
     def test_five_bins_at_32_nodes(self):
         m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
-        est = integrate_simplex_log(5, power_log_integrand(m), spec)
+        est = integrate_simplex_log(np.zeros(5), power_log_integrand(m), spec)
         assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-10
         assert est.evaluations == 32 ** 4
 
     def test_zero_integrand_comes_back_as_log_zero(self):
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
         est = integrate_simplex_log(
-            3, lambda p: np.full(p.shape[0], -math.inf), spec
+            np.zeros(3), lambda p: np.full(p.shape[0], -math.inf), spec
         )
         assert est.log_value == -math.inf
         assert est.value == 0.0
@@ -259,49 +262,53 @@ class TestGaussGrid:
     def test_nan_integrand_is_rejected(self, spec):
         with pytest.raises(IntegrationError, match="NaN or infinity"):
             integrate_simplex_log(
-                3, lambda points: np.full(points.shape[0], math.nan), spec
+                np.zeros(3), lambda points: np.full(points.shape[0], math.nan), spec
             )
         with pytest.raises(IntegrationError, match="NaN or infinity"):
             integrate_simplex_log(
-                3, lambda points: np.full(points.shape[0], math.inf), spec
+                np.zeros(3), lambda points: np.full(points.shape[0], math.inf), spec
             )
         # the log of a negative linear integrand is NaN
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
             IntegrationError, match="NaN or infinity"
         ):
             integrate_simplex_log(
-                3, lambda points: np.log(points[:, 0] - 0.5), spec
+                np.zeros(3), lambda points: np.log(points[:, 0] - 0.5), spec
             )
 
     def test_wrong_result_shape_is_rejected(self):
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
         with pytest.raises(IntegrationError):
             integrate_simplex_log(
-                3, lambda points: np.zeros((points.shape[0], 2)), spec
+                np.zeros(3), lambda points: np.zeros((points.shape[0], 2)), spec
             )
 
 
-def _tilted_log_f(points):
-    # a power term times the prior exp(-2 p1) (1 + p2^2): it does not
-    # separate into per-angle factors
-    power = power_log_integrand(np.linspace(0.0, 2.5, points.shape[1]))
-    return power(points) - 2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
+def _tilted_log_prior(points):
+    # the prior exp(-2 p1) (1 + p2^2): it does not separate into
+    # per-angle factors
+    return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
 
 
-def _grid_and_reference(n, nodes, chunk):
-    # each block of the factored grid beside the per-point map and log
-    # weights of the same points, taken in C order as one batch
-    theta, log_w = _angle_rule(nodes)
+def _grid_and_reference(m, nodes, chunk):
+    # each block of the factored grid beside the per-point map and the
+    # per-axis terms log w + log K_j of the same points, taken in C
+    # order as one batch and summed per point
+    n = m.size
+    theta, axis_logs = quadrature._axis_factors(m, nodes)
+    _, log_w = _angle_rule(nodes)
     index = np.ascontiguousarray(
         np.indices((nodes,) * (n - 1)).reshape(n - 1, -1).T
     )
     start = 0
-    for points, logs in tensor_grid_blocks(theta, log_w, n, chunk):
+    for points, logs in tensor_grid_blocks(theta, axis_logs, chunk):
         rows = index[start:start + points.shape[0]]
         start += points.shape[0]
         th = theta[rows]
-        reference = np.sum(log_w[rows], axis=1)
-        reference += log_jacobian(th)
+        terms = np.stack(
+            [log_kernel(j, n, m, th[:, j - 1]) for j in range(1, n)], axis=1
+        )
+        reference = np.sum(log_w[rows] + terms, axis=1)
         yield points, logs, angles_to_simplex(th), reference
     assert start == nodes ** (n - 1)
 
@@ -309,8 +316,8 @@ def _grid_and_reference(n, nodes, chunk):
 class TestFactoredGrid:
     """The grid is built from per-axis factors in blocks of whole
     leading-index rows; these tests pin it to the per-point map,
-    Jacobian and reduction and bound the size of what it hands the
-    integrand."""
+    kernel and reduction and bound the size of what it hands the
+    prior."""
 
     @pytest.mark.parametrize("n, nodes", [
         (n, nodes)
@@ -323,24 +330,57 @@ class TestFactoredGrid:
         # partial for most cases
         chunk = 300
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        acc = _LogSumAccumulator()
-        for points, logs, ref_points, ref_logs in _grid_and_reference(n, nodes, chunk):
-            assert np.array_equal(points, ref_points)
-            assert np.array_equal(logs, ref_logs)
-            acc.add(ref_logs + _tilted_log_f(ref_points))
-
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-        est = integrate_simplex_log(n, _tilted_log_f, spec)
-        assert est.log_value == acc.log_sum
+        # flat counts, then real and half-integer counts, some near -1
+        for m in (np.zeros(n), np.linspace(0.0, 2.5, n),
+                  np.resize([-0.999, 0.5, 10.0, 0.0, -0.5], n)):
+            acc = _LogSumAccumulator()
+            for points, logs, ref_points, ref_logs in _grid_and_reference(
+                m, nodes, chunk
+            ):
+                assert np.array_equal(points, ref_points)
+                assert np.array_equal(logs, ref_logs)
+                acc.add(ref_logs + _tilted_log_prior(ref_points))
+
+            est = integrate_simplex_log(m, _tilted_log_prior, spec)
+            assert est.log_value == acc.log_sum
 
     def test_nine_bins_agree_with_the_per_point_sums_to_roundoff(self):
         # np.sum pairs eight or more terms per point, while the grid
         # adds them left to right; the map's products stay bitwise
-        for points, logs, ref_points, ref_logs in _grid_and_reference(9, 4, 1 << 18):
+        m = np.linspace(0.0, 2.5, 9)
+        for points, logs, ref_points, ref_logs in _grid_and_reference(
+            m, 4, 1 << 18
+        ):
             assert np.array_equal(points, ref_points)
             np.testing.assert_allclose(
                 logs, ref_logs, rtol=8 * np.finfo(float).eps, atol=0.0
             )
+
+    @pytest.mark.parametrize("counts", [
+        np.zeros,
+        lambda n: np.resize([10.0, 3.0, 0.0, 7.0, 1.0, 5.0], n),
+        lambda n: np.resize([0.5, 2.5, -0.5, 4.5, 1.5], n),
+        lambda n: np.resize([-0.999999, 3.0, -0.99, 0.5, 10.0], n),
+    ], ids=["zeros", "integers", "half_integers", "near_minus_one"])
+    @pytest.mark.parametrize("n, nodes", [
+        (2, 32), (3, 32), (4, 32), (5, 16), (6, 9),
+    ])
+    def test_counts_in_the_measure_match_the_per_point_power(
+        self, n, nodes, counts
+    ):
+        # the same rule on the same points, with prod p^m either in the
+        # per-axis kernel factors or evaluated at each point next to
+        # the prior; only the rounding differs
+        m = counts(n)
+        power = power_log_integrand(m)
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        measure = integrate_simplex_log(m, _tilted_log_prior, spec)
+        per_point = integrate_simplex_log(
+            np.zeros(n), lambda p: power(p) + _tilted_log_prior(p), spec
+        )
+        assert log_rel_gap(measure.log_value, per_point.log_value) <= 1e-13
+        assert measure.evaluations == per_point.evaluations
 
     @pytest.mark.parametrize("n, nodes, chunk", [
         (2, 33, 300),
@@ -359,7 +399,7 @@ class TestFactoredGrid:
             return np.zeros(points.shape[0])
 
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-        est = integrate_simplex_log(n, log_f, spec)
+        est = integrate_simplex_log(np.zeros(n), log_f, spec)
         assert max(sizes) <= chunk
         assert sum(sizes) == nodes ** (n - 1) == est.evaluations
         if nodes & (nodes - 1) == 0:
@@ -393,7 +433,7 @@ class TestSeparable:
         m = np.array([2.0, 0.5, 1.0, 3.0])
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=20)
         separated = integrate_separable(m, spec)
-        grid = integrate_simplex_log(4, power_log_integrand(m), spec)
+        grid = integrate_simplex_log(np.zeros(4), power_log_integrand(m), spec)
         assert log_rel_gap(separated.log_value, grid.log_value) <= 1e-10
 
     def test_rejects_non_gauss_specs(self):
@@ -419,7 +459,7 @@ class TestNestedOracleRoute:
         # a linear integrand wrapped in a log, on the core's oracle route
         spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-9)
         est = integrate_simplex_log(
-            3, lambda p: np.log(p[:, 0] * p[:, 2] ** 2), spec
+            np.zeros(3), lambda p: np.log(p[:, 0] * p[:, 2] ** 2), spec
         )
         exact = log_norm_integral(np.array([1.0, 0.0, 2.0]))
         assert log_rel_gap(est.log_value, exact) <= 1e-8
@@ -441,8 +481,8 @@ class TestMonteCarlo:
     def test_fixed_seed_is_bit_reproducible(self):
         m = np.array([1.0, 2.0, 3.0])
         spec = QuadratureSpec(scheme="monte_carlo", samples=40_000, seed=11)
-        first = integrate_simplex_log(3, power_log_integrand(m), spec)
-        second = integrate_simplex_log(3, power_log_integrand(m), spec)
+        first = integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec)
+        second = integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec)
         assert first.log_value == second.log_value
         assert first.std_error == second.std_error
         assert first.evaluations == 40_000
@@ -451,7 +491,7 @@ class TestMonteCarlo:
         m = np.array([1.0, 2.0, 3.0])
         runs = {
             integrate_simplex_log(
-                3, power_log_integrand(m),
+                np.zeros(3), power_log_integrand(m),
                 QuadratureSpec(scheme="monte_carlo", samples=10_000, seed=s),
             ).log_value
             for s in (0, 1, 2, -1)
@@ -462,7 +502,7 @@ class TestMonteCarlo:
         m = np.array([1.0, 2.0, 3.0])
         exact = math.exp(log_norm_integral(m))
         spec = QuadratureSpec(scheme="monte_carlo", samples=100_000, seed=0)
-        est = integrate_simplex_log(3, power_log_integrand(m), spec)
+        est = integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec)
         assert est.std_error > 0.0
         assert abs(est.value - exact) <= 5.0 * est.std_error
 
@@ -476,7 +516,7 @@ class TestMonteCarlo:
         hits = 0
         for seed in range(30):
             spec = QuadratureSpec(scheme="monte_carlo", samples=20_000, seed=seed)
-            est = integrate_simplex_log(3, log_f, spec)
+            est = integrate_simplex_log(np.zeros(3), log_f, spec)
             if abs(est.value - exact) <= 5.0 * est.std_error:
                 hits += 1
         assert hits >= 27
@@ -485,7 +525,9 @@ class TestMonteCarlo:
         m = np.array([1.0, 2.0])
         spec = QuadratureSpec(scheme="monte_carlo", samples=1000, seed=0)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_simplex_log(2, power_log_integrand(m), spec, budget=999)
+            integrate_simplex_log(
+                np.zeros(2), power_log_integrand(m), spec, budget=999
+            )
 
 
 class TestPowerLogIntegrand:
