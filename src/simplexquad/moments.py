@@ -155,8 +155,18 @@ def variance(m, i) -> float:
 
 
 def std_dev(m, i) -> float:
-    """Posterior standard deviation of bin i: sqrt(variance)."""
-    return math.sqrt(variance(m, i))
+    """Posterior standard deviation of bin i: sqrt(variance).
+
+    Where the variance falls below the normal doubles (it underflows
+    long before its square root does), the square root is taken factor
+    by factor: (sqrt(a) / t) * (sqrt(b) / sqrt(t + 1)), t = a + b.
+    """
+    var = variance(m, i)
+    if var >= 2.0 ** -1022:  # the smallest normal double
+        return math.sqrt(var)
+    a, b = _beta_marginal(m, i)
+    t = a + b
+    return (math.sqrt(a) / t) * (math.sqrt(b) / math.sqrt(t + 1.0))
 
 
 def skewness(m, i) -> float:

@@ -29,7 +29,10 @@ monte_carlo
     fixed seed: samples come in batches of 2^16 from a counter-based
     Philox generator keyed (seed, batch_index), and the reduction
     always runs in batch order, so any future parallel split over
-    batches reproduces the serial result bit for bit.
+    batches reproduces the serial result bit for bit. A batch's points
+    and log-Jacobian come from one range check and one sin/cos pass
+    (spherical._map_and_log_jacobian), in place, equal bit for bit to
+    angles_to_simplex and log_jacobian.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
@@ -53,9 +56,12 @@ from .moments import as_exponent_vector
 from .oracle import IntegrationError, nested_simplex_integral
 from .spherical import (
     HALF_PI,
+    _map_and_log_jacobian,
     _xlogy,
-    angles_to_simplex,
-    log_jacobian,
+    # not called here; perfbench/tracer.py wraps both names in this
+    # module
+    angles_to_simplex,  # noqa: F401
+    log_jacobian,  # noqa: F401
     log_kernel,
     tensor_grid_blocks,
 )
@@ -365,8 +371,9 @@ def _monte_carlo(n, log_f, samples, seed, budget):
         key = np.array([key_word, batch], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         th = rng.random((count, n - 1)) * HALF_PI
-        logs = log_jacobian(th) + log_cube
-        logs += _checked_log_values(log_f, angles_to_simplex(th), count)
+        points, logs = _map_and_log_jacobian(th)
+        logs += log_cube
+        logs += _checked_log_values(log_f, points, count)
         acc_mean.add(logs)
         acc_square.add(2.0 * logs)
         done += count

@@ -20,9 +20,11 @@ K_j; see log_kernel. Each factor integrates to a Beta function on its
 own, which is what makes the closed-form moments possible.
 
 angles_to_simplex and log_jacobian accept batches: a leading axis of
-angle vectors is mapped elementwise. On a tensor grid the map and the
-kernels factor into per-axis terms; tensor_grid_blocks builds the
-grid's points and log weights from those, block by block.
+angle vectors is mapped elementwise. Both start from the same sines
+and cosines; _map_and_log_jacobian gives a batch both from one sin/cos
+pass, bit for bit as the two functions do. On a tensor grid the map
+and the kernels factor into per-axis terms; tensor_grid_blocks builds
+the grid's points and log weights from those, block by block.
 """
 
 import math
@@ -65,6 +67,19 @@ def _xlogy(y, x):
     return np.where(np.asarray(y) == 0.0, 0.0, out)
 
 
+def _fill_simplex(s, c, work):
+    # p_1 = c_1^2, p_j = s_1^2 ... s_{j-1}^2 c_j^2, p_n = s_1^2 ... s_{n-1}^2;
+    # squares s and c in place and takes the running product into work
+    np.square(s, out=s)
+    np.square(c, out=c)
+    np.cumprod(s, axis=-1, out=work)
+    out = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
+    out[..., 0] = c[..., 0]
+    np.multiply(work[..., :-1], c[..., 1:], out=out[..., 1:-1])
+    out[..., -1] = work[..., -1]
+    return out
+
+
 def angles_to_simplex(theta):
     """Map angles in [0, pi/2]^(n-1) to a point of the n-bin simplex.
 
@@ -81,13 +96,8 @@ def angles_to_simplex(theta):
     """
     theta = np.asarray(theta, dtype=float)
     _check_angles(theta)
-    s2 = np.square(np.sin(theta))
-    c2 = np.square(np.cos(theta))
-    tail = np.cumprod(s2, axis=-1)
-    lead = np.concatenate(
-        [np.ones(theta.shape[:-1] + (1,)), tail[..., :-1]], axis=-1
-    )
-    return np.concatenate([lead * c2, tail[..., -1:]], axis=-1)
+    s, c = np.sin(theta), np.cos(theta)
+    return _fill_simplex(s, c, np.empty_like(s))
 
 
 def simplex_to_angles(p):
@@ -145,19 +155,44 @@ def log_jacobian(theta):
     """
     theta = np.asarray(theta, dtype=float)
     _check_angles(theta)
-    n = theta.shape[-1] + 1
-    s = np.sin(theta)
-    c = np.cos(theta)
-    with np.errstate(divide="ignore"):
-        out = np.sum(np.log(2.0 * s * c), axis=-1)
-        if n > 2:
-            # sin t_i has exponent 2(n-1-i); leaving out the last
-            # angle's zero term avoids 0 * (-inf) at boundary angles
-            sin_exponents = 2.0 * np.arange(n - 2, 0, -1, dtype=float)
-            out = out + np.sum(sin_exponents * np.log(s[..., :-1]), axis=-1)
+    s, c = np.sin(theta), np.cos(theta)
+    out = _diagonal_log_sum(s, c, np.empty_like(s))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _diagonal_log_sum(s, c, work):
+    # sum over i of ln(2 s_i c_i) + 2(n-1-i) ln s_i, row by row, from
+    # the sines and cosines of the angles; work is scratch of their shape
+    np.multiply(2.0, s, out=work)
+    work *= c
+    with np.errstate(divide="ignore"):
+        np.log(work, out=work)
+        out = np.sum(work, axis=-1)
+        k = s.shape[-1]
+        if k > 1:
+            # sin t_i has exponent 2(n-1-i); leaving out the last
+            # angle's zero term avoids 0 * (-inf) at boundary angles
+            terms = work[..., :-1]
+            np.log(s[..., :-1], out=terms)
+            terms *= 2.0 * np.arange(k - 1, 0, -1, dtype=float)
+            out = out + np.sum(terms, axis=-1)
+    return out
+
+
+def _map_and_log_jacobian(theta):
+    """angles_to_simplex(theta) and log_jacobian(theta) of one batch,
+    bit for bit, from one range check and one sin/cos pass.
+
+    The log-Jacobian is taken first, then the sines and cosines are
+    squared in place and the map's running product reuses its scratch.
+    """
+    _check_angles(theta)
+    s, c = np.sin(theta), np.cos(theta)
+    work = np.empty_like(s)
+    logs = _diagonal_log_sum(s, c, work)
+    return _fill_simplex(s, c, work), logs
 
 
 def _map_columns(out, prod, columns, c2, s2):

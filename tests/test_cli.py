@@ -220,6 +220,29 @@ class TestIntegrateCommand:
         exact = 12.0 / math.factorial(8)
         assert abs(float(value) - exact) <= 5.0 * float(std_error)
 
+    @pytest.mark.parametrize("counts, frozen", [
+        ((1, 2, 3, 0, 2),
+         ("-16.806310015802598", "5.024725010402836e-08",
+          "7.237410830833372e-10")),
+        # eight terms: the power and Jacobian row sums take numpy's
+        # pairwise order, which a column-by-column sum would change
+        ((1, 0, 2, 1, 0, 1, 2, 0),
+         ("-23.85324354645767", "4.371877175467944e-11",
+          "3.0770779437546524e-12")),
+    ])
+    def test_monte_carlo_frozen_regression_values_at_more_bins(self, counts,
+                                                               frozen):
+        result = run_cli("integrate", "--counts", ",".join(map(str, counts)),
+                         "--scheme", "mc", "--samples", "200000", "--seed",
+                         "3", "--plain")
+        assert result.returncode == 0
+        assert tuple(result.stdout.splitlines()) == frozen
+        _, value, std_error = frozen
+        # exact prod m_i! / (N + n - 1)!, within 5 sigma
+        exact = math.prod(map(math.factorial, counts)) / math.factorial(
+            sum(counts) + len(counts) - 1)
+        assert abs(float(value) - exact) <= 5.0 * float(std_error)
+
     def test_monte_carlo_is_reproducible_across_processes(self):
         args = ("integrate", "--counts", "1,2", "--scheme", "mc",
                 "--samples", "20000", "--seed", "123")

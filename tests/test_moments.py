@@ -317,6 +317,23 @@ class TestClosedForms:
                         assert covariance(m, i, j) == pytest.approx(
                             float(cov), rel=1e-14, abs=0)
 
+    def test_std_dev_survives_an_underflowing_variance(self):
+        # every variance here is below the smallest double, while each
+        # standard deviation (1e-262 to 1e-192) is a normal float. The
+        # reference sums b from the other bins, not as t - a, in 400
+        # digits: t spans 256 orders of magnitude
+        counts = (9.98e66, 1.36e129, -0.9999999999961533, -0.0225, 1.03e256)
+        m = np.array(counts)
+        with mpmath.workdps(400):
+            c = [mpmath.mpf(v) + 1 for v in counts]
+            for i in range(1, len(c) + 1):
+                a = c[i - 1]
+                b = mpmath.fsum(c[:i - 1] + c[i:])
+                t = a + b
+                want = float(mpmath.sqrt(a * b / (t * t * (t + 1))))
+                assert variance(m, i) == 0.0
+                assert std_dev(m, i) == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_counts_near_minus_one_round_the_total_once(self):
         # N + n nearly cancels here; summed as fsum(m) + n it is rounded
         # twice and the means drift by ~1e-5. References in 50 digits.

@@ -7,6 +7,7 @@ against each other rather than against copied constants.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -520,6 +521,25 @@ class TestMonteCarlo:
             if abs(est.value - exact) <= 5.0 * est.std_error:
                 hits += 1
         assert hits >= 27
+
+    def test_one_batch_stays_within_its_memory(self):
+        # one full batch of 2^16 points at n = 8: the map and the
+        # Jacobian share one sin/cos pass and fill their arrays in
+        # place (about 20 MB); a fresh array per stage peaks near 27 MB
+        spec = QuadratureSpec(scheme="monte_carlo", samples=65_536, seed=0)
+        m = np.ones(8)
+
+        def flat(points):
+            return np.zeros(points.shape[0])
+
+        integrate_simplex_log(m, flat, spec)
+        tracemalloc.start()
+        try:
+            integrate_simplex_log(m, flat, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     def test_sample_count_over_budget_is_refused(self):
         m = np.array([1.0, 2.0])

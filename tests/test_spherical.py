@@ -17,7 +17,7 @@ from simplexquad import (
     log_kernel,
     simplex_to_angles,
 )
-from simplexquad.spherical import HALF_PI
+from simplexquad.spherical import HALF_PI, _map_and_log_jacobian
 
 mpmath.mp.dps = 50
 
@@ -170,6 +170,25 @@ class TestLogJacobian:
         batched = log_jacobian(theta)
         for row in range(theta.shape[0]):
             assert batched[row] == log_jacobian(theta[row])
+
+
+class TestMapAndLogJacobian:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_one_pass_equals_the_public_functions_bitwise(self, n):
+        # n = 9 sums eight Jacobian terms per row, numpy's pairwise
+        # order; rows at exactly 0 and pi/2 give a -inf Jacobian and
+        # exact-zero coordinates
+        rng = np.random.default_rng(100 + n)
+        theta = rng.uniform(0.0, HALF_PI, size=(257, n - 1))
+        theta[0] = 0.0
+        theta[1] = HALF_PI
+        theta[2, ::2] = 0.0
+        theta[3, 1::2] = HALF_PI
+        points, logs = _map_and_log_jacobian(theta)
+        assert np.array_equal(points, angles_to_simplex(theta))
+        assert np.array_equal(logs, log_jacobian(theta))
+        assert logs[0] == -math.inf
+        assert np.any(points[:4] == 0.0)
 
 
 class TestLogKernel:
