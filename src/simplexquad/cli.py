@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 malformed input, 3 numerical failure,
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -453,8 +454,22 @@ _COMMANDS = {
 }
 
 
+def _attach_counts(argv):
+    # argparse takes a token that starts with '-' and is not one plain
+    # number for an option, so "--counts -0.5,0.3,2" would lose its
+    # value; such a token is joined to its flag as "--counts=-0.5,0.3,2"
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--counts" and re.match(r"-\.?\d", token):
+            joined[-1] = f"--counts={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_counts(argv))
     try:
         start = time.perf_counter()
         counts = _resolve_counts(args)

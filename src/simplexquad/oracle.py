@@ -5,7 +5,10 @@ of one-dimensional integrals directly over the probabilities,
 
     int_0^1 dp_1 int_0^{1-p_1} dp_2 ... int_0^{1-...-p_{n-2}} dp_{n-1} f(p),
 
-with the last probability fixed by the simplex constraint. This module
+with the last probability fixed by the simplex constraint. The
+integrand is prod p_i^{m_i} times an optional prior; each level
+multiplies its own p_i^{m_i} into a running factor, so the counts are
+folded into the nesting and only the prior is a callable. This module
 evaluates exactly that, one adaptive Gauss-Kronrod pass per nesting
 level, in plain linear arithmetic. It is slow by design and shares no
 code with the spherical change of variables, so the two routes can
@@ -77,15 +80,14 @@ class _Budget:
         self.remaining -= count
 
 
-def gauss_kronrod(f, a, b, budget=None):
-    """One 15-point Kronrod pass over [a, b].
+def gauss_kronrod(f, a, b, budget):
+    """One 15-point Kronrod pass over [a, b], charged to budget.
 
     Returns (integral, error_estimate) where the error estimate is the
     difference from the embedded 7-point Gauss rule, the usual
     conservative proxy for the true error.
     """
-    if budget is not None:
-        budget.spend(15)
+    budget.spend(15)
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
     fc = f(center)
@@ -138,20 +140,20 @@ def _pow(base, exponent):
     return base ** exponent
 
 
-def nested_simplex_integral(integrand, n=None, rel_tol=1e-10, max_evaluations=10**8):
-    """Integrate over the simplex by direct nesting in p coordinates.
+def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8):
+    """Integrate prod p_i^{m_i} * prior(p) over the simplex by direct
+    nesting in p coordinates.
 
     Parameters
     ----------
-    integrand : sequence of float, or callable
-        Either an exponent vector m (the integrand is then
-        prod p_i^{m_i}, each m_i > -1) or a callable taking the full
-        probability vector as a list of n floats and returning a
-        nonnegative float.
-    n : int, optional
-        Number of bins; required for callable integrands, inferred for
-        exponent vectors. Must satisfy 2 <= n <= 5 (cost explodes
+    m : sequence of float
+        Exponents (counts), one per bin, each finite and > -1. The bin
+        count n = len(m) must satisfy 2 <= n <= 5 (cost explodes
         beyond that; use the spherical schemes instead).
+    prior : callable, optional
+        Takes the full probability vector as a list of n floats and
+        returns a nonnegative float. None means 1, and then no prior is
+        evaluated.
     rel_tol : float
         Per-level refinement target, relative to each level's first
         whole-interval estimate.
@@ -162,24 +164,13 @@ def nested_simplex_integral(integrand, n=None, rel_tol=1e-10, max_evaluations=10
     -------
     (value, evaluations) : (float, int)
     """
-    if callable(integrand):
-        f = integrand
-        m = None
-        if n is None:
-            raise ValueError("a callable integrand needs an explicit bin count n")
-    else:
-        m = [float(v) for v in integrand]
-        if len(m) < 2:
-            raise ValueError("exponent vector must have at least two bins")
-        if any(not math.isfinite(v) or v <= -1.0 for v in m):
-            raise ValueError("every exponent must be a finite value > -1")
-        if n is None:
-            n = len(m)
-        elif n != len(m):
-            raise ValueError(f"n={n} does not match len(m)={len(m)}")
-        f = None
-    n = int(n)
-    if not 2 <= n <= 5:
+    m = [float(v) for v in m]
+    n = len(m)
+    if n < 2:
+        raise ValueError("exponent vector must have at least two bins")
+    if any(not math.isfinite(v) or v <= -1.0 for v in m):
+        raise ValueError("every exponent must be a finite value > -1")
+    if n > 5:
         raise ValueError(
             f"nested integration is practical only for 2 <= n <= 5, got n={n}"
         )
@@ -188,42 +179,28 @@ def nested_simplex_integral(integrand, n=None, rel_tol=1e-10, max_evaluations=10
 
     budget = _Budget(max_evaluations)
 
-    if m is not None:
-        def level(factor, remaining, k):
-            # k is the 0-based index of the probability being integrated;
-            # the innermost level is k = n-2, where p_{n-1} (0-based) is
-            # fixed to the leftover mass.
-            if k == n - 2:
-                def inner(p):
-                    leftover = remaining - p
-                    if leftover < 0.0:
-                        leftover = 0.0
-                    return factor * _pow(p, m[k]) * _pow(leftover, m[n - 1])
-                return _integrate(inner, 0.0, remaining, rel_tol, budget)
+    def level(factor, prefix, remaining, k):
+        # factor is the product of the outer powers and prefix the outer
+        # probabilities; k is the 0-based index of the probability being
+        # integrated. The innermost level is k = n-2, where p_{n-1}
+        # (0-based) is fixed to the leftover mass.
+        if k == n - 2:
+            def inner(p):
+                leftover = remaining - p
+                if leftover < 0.0:
+                    leftover = 0.0
+                value = factor * _pow(p, m[k]) * _pow(leftover, m[n - 1])
+                if prior is None:
+                    return value
+                return value * prior(prefix + [p, leftover])
+            return _integrate(inner, 0.0, remaining, rel_tol, budget)
 
-            def outer(p):
-                return level(factor * _pow(p, m[k]), remaining - p, k + 1)
-            return _integrate(outer, 0.0, remaining, rel_tol, budget)
-
-        start = 1.0  # the product of the outer factors
-    else:
-        def level(prefix, remaining, k):
-            if k == n - 2:
-                def inner(p):
-                    leftover = remaining - p
-                    if leftover < 0.0:
-                        leftover = 0.0
-                    return f(prefix + [p, leftover])
-                return _integrate(inner, 0.0, remaining, rel_tol, budget)
-
-            def outer(p):
-                return level(prefix + [p], remaining - p, k + 1)
-            return _integrate(outer, 0.0, remaining, rel_tol, budget)
-
-        start = []  # the outer probabilities
+        def outer(p):
+            return level(factor * _pow(p, m[k]), prefix + [p], remaining - p, k + 1)
+        return _integrate(outer, 0.0, remaining, rel_tol, budget)
 
     try:
-        value = level(start, 1.0, 0)
+        value = level(1.0, [], 1.0, 0)
     except IntegrationError as exc:
         exc.evaluations = max_evaluations - budget.remaining
         raise

@@ -39,8 +39,9 @@ nested_oracle
     schemes so it can serve as independent ground truth.
 
 Integrands come in one form, through one core (integrate_simplex_log):
-counts m and a log prior, for prod p_i^{m_i} exp(log_prior(p)); the
-grid folds the power into its per-axis factors. Sums accumulate in log
+counts m and a log prior, for prod p_i^{m_i} exp(log_prior(p)). The
+grid folds the power into its axis factors, the oracle into its
+nesting, and Monte Carlo adds it per point. Sums accumulate in log
 space with a running max shift: products of many bin powers underflow
 linear doubles long before they stop mattering.
 """
@@ -357,9 +358,17 @@ def _gauss_grid(m, log_prior, nodes, budget):
     return acc.log_sum, total
 
 
-def _monte_carlo(n, log_f, samples, seed, budget):
+def _monte_carlo(m, log_prior, samples, seed, budget):
     _check_budget(f"monte_carlo with {samples} samples", samples, budget)
+    n = m.size
     log_cube = (n - 1) * math.log(HALF_PI)
+    power = power_log_integrand(m)
+
+    def log_f(points):
+        # the power term plus the checked prior, per sampled point
+        prior = _checked_log_values(log_prior, points, points.shape[0])
+        return power(points) + prior
+
     # two's-complement fold of the signed seed into the uint64 key word
     key_word = int(seed) & 0xFFFFFFFFFFFFFFFF
     acc_mean = _LogSumAccumulator()
@@ -401,11 +410,11 @@ def integrate_simplex_log(m, log_prior, spec, budget=None):
     maps a (k, n) array of simplex points to k log values; -inf
     encodes a zero. For a general f pass m = np.zeros(n) and
     np.log(f(points)): a negative f then comes in as NaN and is
-    rejected. gauss_grid folds the power into its per-axis factors;
-    the other schemes add it to log_prior per point. This is the one
-    integration core: every scheme and the command line come through
-    here, so the shape, NaN and +inf checks on prior values hold on
-    every route.
+    rejected. gauss_grid folds the power into its per-axis factors,
+    nested_oracle into its nesting, and monte_carlo adds it to
+    log_prior per point. This is the one integration core: every
+    scheme and the command line come through here, so the shape, NaN
+    and +inf checks on prior values hold on every route.
     """
     m = as_exponent_vector(m)
     if not isinstance(spec, QuadratureSpec):
@@ -414,24 +423,17 @@ def integrate_simplex_log(m, log_prior, spec, budget=None):
     if spec.scheme == "gauss_grid":
         log_value, evaluations = _gauss_grid(m, log_prior, spec.nodes_per_axis, limit)
         return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
-    power = power_log_integrand(m)
-
-    def log_f(points):
-        # the power term plus the checked prior, per sampled point
-        prior = _checked_log_values(log_prior, points, points.shape[0])
-        return power(points) + prior
-
     if spec.scheme == "monte_carlo":
         log_value, std_error, evaluations = _monte_carlo(
-            m.size, log_f, spec.samples, spec.seed, limit
+            m, log_prior, spec.samples, spec.seed, limit
         )
         return IntegralEstimate(log_value, std_error, evaluations, spec.scheme)
 
-    def f(p):
+    def prior(p):
         row = np.asarray(p, dtype=float)[None, :]
-        return float(np.exp(_checked_log_values(log_f, row, 1)[0]))
+        return float(np.exp(_checked_log_values(log_prior, row, 1)[0]))
 
-    return nested_oracle(f, n=m.size, spec=spec, budget=limit)
+    return nested_oracle(m, prior, spec=spec, budget=limit)
 
 
 def integrate_separable(m, spec=None, budget=None):
@@ -466,15 +468,16 @@ def integrate_separable(m, spec=None, budget=None):
     return IntegralEstimate(log_total, 0.0, evaluations, spec.scheme)
 
 
-def nested_oracle(integrand, n=None, spec=None, budget=None):
-    """Brute-force reference integral in raw p coordinates.
+def nested_oracle(m, prior=None, spec=None, budget=None):
+    """Brute-force reference integral of prod p_i^{m_i} * prior(p) in
+    raw p coordinates, for n <= 5.
 
-    integrand is either an exponent vector (integrand prod p_i^{m_i})
-    or a scalar callable on full probability vectors; callables need
-    an explicit n. Limited to n <= 5. See the oracle module for the
-    machinery; this wrapper only adds the spec/budget plumbing and the
-    log-form result, and is the one place an oracle value becomes an
-    IntegralEstimate (integrate_simplex_log's oracle route ends here).
+    prior is a scalar callable on the full probability vector, a list
+    of n floats, returning a nonnegative float; None means 1. See the
+    oracle module for the machinery; this wrapper only adds the
+    spec/budget plumbing and the log-form result, and is the one place
+    an oracle value becomes an IntegralEstimate (integrate_simplex_log's
+    oracle route ends here).
     """
     if spec is None:
         spec = QuadratureSpec(scheme="nested_oracle")
@@ -482,7 +485,7 @@ def nested_oracle(integrand, n=None, spec=None, budget=None):
         raise ValueError("spec.scheme must be 'nested_oracle'")
     limit = resolve_eval_budget(budget)
     value, evaluations = nested_simplex_integral(
-        integrand, n=n, rel_tol=spec.rel_tol, max_evaluations=limit
+        m, prior, rel_tol=spec.rel_tol, max_evaluations=limit
     )
     log_value = math.log(value) if value > 0.0 else -math.inf
     return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)

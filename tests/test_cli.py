@@ -133,6 +133,17 @@ class TestMomentsCommand:
         result = run_cli("moments")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command", ["moments", "integrate"])
+    def test_leading_negative_count_after_a_space(self, command):
+        # counts > -1 are valid, so "--counts -0.5,..." is a value, not
+        # an option; both spellings must give the same report
+        mask = re.compile(r'"wall_time_s": [^,\n]+')
+        spaced = run_cli(command, "--counts", "-0.5,0.3,2")
+        joined = run_cli(command, "--counts=-0.5,0.3,2")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert mask.sub("<t>", spaced.stdout) == mask.sub("<t>", joined.stdout)
+        assert report_of(spaced)["inputs"]["counts"] == [-0.5, 0.3, 2.0]
+
     def test_counts_sources_are_mutually_exclusive(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("1\n2\n")

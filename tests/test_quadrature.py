@@ -453,7 +453,7 @@ class TestNestedOracleRoute:
         )
 
     def test_flat_callable_gives_the_simplex_volume(self):
-        est = nested_oracle(lambda p: 1.0, n=3)
+        est = nested_oracle(np.zeros(3), lambda p: 1.0)
         assert est.value == pytest.approx(0.5, rel=1e-10)
 
     def test_integrates_through_the_linear_wrapper(self):
@@ -465,17 +465,40 @@ class TestNestedOracleRoute:
         exact = log_norm_integral(np.array([1.0, 0.0, 2.0]))
         assert log_rel_gap(est.log_value, exact) <= 1e-8
 
-    def test_callables_require_an_explicit_bin_count(self):
-        with pytest.raises(ValueError):
-            nested_oracle(lambda p: 1.0)
-
     def test_bin_count_is_capped_at_five(self):
         with pytest.raises(ValueError):
             nested_oracle(np.ones(6))
 
     def test_zero_integrand_comes_back_as_log_zero(self):
-        est = nested_oracle(lambda p: 0.0, n=2)
+        est = nested_oracle(np.zeros(2), lambda p: 0.0)
         assert est.log_value == -math.inf
+
+    # counts and a prior together: prod p^m times p_1 is the Dirichlet
+    # integral at m + e_1, whose closed form is log_norm_integral
+    _COUNTS_WITH_PRIOR = pytest.mark.parametrize("m", [
+        [2.0, 3.0],
+        [1.0, 0.0, 2.0],
+        [2.0, 1.0, 0.0, 1.0],
+        [0.5, 1.5],
+        [3.5, 2.5, 4.5],
+        [0.5, 1.0, 2.0, 1.0],
+    ], ids=str)
+
+    @_COUNTS_WITH_PRIOR
+    def test_counts_times_a_prior(self, m):
+        m = np.array(m)
+        shifted = m + np.eye(m.size)[0]
+        est = nested_oracle(m, lambda p: p[0])
+        assert log_rel_gap(est.log_value, log_norm_integral(shifted)) <= 1e-9
+
+    @_COUNTS_WITH_PRIOR
+    def test_counts_times_a_log_prior_on_the_core_route(self, m):
+        m = np.array(m)
+        shifted = m + np.eye(m.size)[0]
+        spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-10)
+        est = integrate_simplex_log(m, lambda p: np.log(p[:, 0]), spec)
+        assert est.scheme == "nested_oracle"
+        assert log_rel_gap(est.log_value, log_norm_integral(shifted)) <= 1e-9
 
 
 class TestMonteCarlo:
