@@ -313,7 +313,9 @@ def cmd_integrate(args, counts):
     spec = _quadrature_spec(args)
     log_prior = _log_prior(expr)
 
-    estimate = integrate_simplex_log(counts, log_prior, spec)
+    # the grid needs only the angles of the bins the prior reads
+    prior_bins = expr.max_index
+    estimate = integrate_simplex_log(counts, log_prior, spec, prior_bins=prior_bins)
     evaluations = estimate.evaluations
     value = estimate.value
     results = {
@@ -328,7 +330,9 @@ def cmd_integrate(args, counts):
                 "the normalizing integral is zero, so the moment is undefined"
             )
         shifted = counts + _moment_multi_index(indices, n)
-        numerator = integrate_simplex_log(shifted, log_prior, spec)
+        numerator = integrate_simplex_log(
+            shifted, log_prior, spec, prior_bins=prior_bins
+        )
         evaluations += numerator.evaluations
         results["moment"] = {
             "index": indices,
@@ -454,14 +458,20 @@ _COMMANDS = {
 }
 
 
-def _attach_counts(argv):
-    # argparse takes a token that starts with '-' and is not one plain
-    # number for an option, so "--counts -0.5,0.3,2" would lose its
-    # value; such a token is joined to its flag as "--counts=-0.5,0.3,2"
+# values that start with '-' but are not one plain number: counts
+# that start negative, and a prior with a leading minus
+_DASHED_VALUES = {"--counts": r"-\.?\d", "--prior": r"-[^-]"}
+
+
+def _attach_dashed_values(argv):
+    # argparse takes such a token for an option, so "--counts -0.5,0.3,2"
+    # or "--prior -p1+1" would lose its value; the token is joined to
+    # its flag as "--counts=-0.5,0.3,2" or "--prior=-p1+1"
     joined = []
     for token in argv:
-        if joined and joined[-1] == "--counts" and re.match(r"-\.?\d", token):
-            joined[-1] = f"--counts={token}"
+        pattern = _DASHED_VALUES.get(joined[-1]) if joined else None
+        if pattern and re.match(pattern, token):
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined
@@ -469,7 +479,7 @@ def _attach_counts(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_counts(argv))
+    args = build_parser().parse_args(_attach_dashed_values(argv))
     try:
         start = time.perf_counter()
         counts = _resolve_counts(args)

@@ -20,7 +20,12 @@ gauss_grid
     kernel K_j (power times Jacobian) are computed once on the axis
     and combined by outer sums and products, in blocks of whole rows
     of at most _CHUNK points (spherical.tensor_grid_blocks); only the
-    prior is evaluated per point.
+    prior is evaluated per point. p_1..p_r depend on t_1..t_r alone,
+    so a prior that reads only p_1..p_r (prior_bins = r) couples just
+    the first r axes: the tensor grid covers those, k^r points, and
+    each later axis is one 1-D sum of its factors, (n-1-r) k more.
+    log_prior then gets (count, r+1) points, p_1..p_r and the mass
+    left for bins r+1..n; at r = 0 that is the one point [[1.0]].
 monte_carlo
     Uniform sampling of the angle box, weighted by the Jacobian and
     the box volume. Uniform in theta is intentionally NOT uniform on
@@ -344,18 +349,37 @@ def _axis_factors(m, nodes):
     return theta, [log_w + log_kernel(j, n, m, theta) for j in range(1, n)]
 
 
-def _gauss_grid(m, log_prior, nodes, budget):
+def _axis_log_sums(axis_logs):
+    # each axis summed on its own, the sums added left to right: the
+    # integral of the per-axis factors where nothing couples the axes
+    log_total = 0.0
+    for logs in axis_logs:
+        acc = _LogSumAccumulator()
+        acc.add(logs)
+        log_total += acc.log_sum
+    return log_total
+
+
+def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
     d = m.size - 1
-    total = nodes ** d
-    _check_budget(f"gauss_grid with {nodes} nodes on {d} axes", total, budget)
+    r = d if prior_bins is None else min(prior_bins, d)
+    total = nodes ** r + (d - r) * nodes
+    _check_budget(
+        f"gauss_grid with {nodes} nodes on {r} tensor axes of {d}", total, budget
+    )
     theta, axis_logs = _axis_factors(m, nodes)
+    tail = _axis_log_sums(axis_logs[r:])
+    if r == 0:
+        # the prior reads no bin: one point, all of its mass left over
+        head = float(_checked_log_values(log_prior, np.ones((1, 1)), 1)[0])
+        return head + tail, total
     acc = _LogSumAccumulator()
     # blocks of whole leading-index rows, built from per-axis factors;
     # with a power-of-two node count they end where the chunks end
-    for points, logs in tensor_grid_blocks(theta, axis_logs, _CHUNK):
+    for points, logs in tensor_grid_blocks(theta, axis_logs[:r], _CHUNK):
         logs += _checked_log_values(log_prior, points, points.shape[0])
         acc.add(logs)
-    return acc.log_sum, total
+    return acc.log_sum + tail, total
 
 
 def _monte_carlo(m, log_prior, samples, seed, budget):
@@ -403,7 +427,7 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
     return log_mean, std_error, samples
 
 
-def integrate_simplex_log(m, log_prior, spec, budget=None):
+def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
     """Integrate prod p_i^{m_i} exp(log_prior(p)) over the simplex.
 
     m holds the exponents (counts, each > -1), one per bin. log_prior
@@ -415,13 +439,24 @@ def integrate_simplex_log(m, log_prior, spec, budget=None):
     log_prior per point. This is the one integration core: every
     scheme and the command line come through here, so the shape, NaN
     and +inf checks on prior values hold on every route.
+
+    prior_bins = r promises that log_prior reads only p_1..p_r; None
+    means it may read every bin. gauss_grid then runs its tensor grid
+    on the first r angles only, at k^r + (n-1-r) k evaluations for k
+    nodes per axis, and hands log_prior points of shape (count, r+1):
+    p_1..p_r and the mass left for the later bins. The other schemes
+    ignore it.
     """
     m = as_exponent_vector(m)
     if not isinstance(spec, QuadratureSpec):
         raise TypeError("spec must be a QuadratureSpec")
+    if prior_bins is not None:
+        prior_bins = _whole("prior_bins", prior_bins, 0)
     limit = resolve_eval_budget(budget)
     if spec.scheme == "gauss_grid":
-        log_value, evaluations = _gauss_grid(m, log_prior, spec.nodes_per_axis, limit)
+        log_value, evaluations = _gauss_grid(
+            m, log_prior, spec.nodes_per_axis, limit, prior_bins
+        )
         return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
     if spec.scheme == "monte_carlo":
         log_value, std_error, evaluations = _monte_carlo(
@@ -460,12 +495,7 @@ def integrate_separable(m, spec=None, budget=None):
     evaluations = (n - 1) * spec.nodes_per_axis
     _check_budget("integrate_separable", evaluations, resolve_eval_budget(budget))
     _, axis_logs = _axis_factors(m, spec.nodes_per_axis)
-    log_total = 0.0
-    for logs in axis_logs:
-        acc = _LogSumAccumulator()
-        acc.add(logs)
-        log_total += acc.log_sum
-    return IntegralEstimate(log_total, 0.0, evaluations, spec.scheme)
+    return IntegralEstimate(_axis_log_sums(axis_logs), 0.0, evaluations, spec.scheme)
 
 
 def nested_oracle(m, prior=None, spec=None, budget=None):

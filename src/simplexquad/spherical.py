@@ -215,7 +215,9 @@ def tensor_grid_blocks(axis, axis_logs, chunk):
     log K_j: the Jacobian is the m = 0 kernel); a point's log weight is
     their sum over its indices. Yields (points, logs) per block: points
     as angles_to_simplex gives them, shape (count, n), and logs a fresh
-    array of count log weights.
+    array of count log weights. Given the factors of the first r angles
+    of a longer map only, the points are (count, r+1): p_1..p_r and the
+    mass left for the later bins.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
     computed once on the axis after one range check. The leading

@@ -1,5 +1,6 @@
 """Acceptance gate: ten numbered criteria with stated tolerances and
-runtime budgets.
+runtime budgets, and the partial grid's reach past the full grid's
+budget.
 
 Each test prints one `[criterion N] PASS/FAIL` line (run with -s to
 see them) and then asserts. Expected values come from exact factorial
@@ -184,6 +185,40 @@ def test_criterion_6_gauss_grid_convergence():
         f"{worst:.2e} at counts {worst_case} (tol 1e-10), "
         f"{elapsed:.1f} s (< 30 s)",
     )
+
+
+def test_partial_grid_beyond_the_full_grid_budget():
+    """A prior that reads p1 and p2 at n = 8: two tensor axes and five
+    1-D sums, where the full grid's 32^7 points exceed the 1e8 budget.
+
+    Not a numbered criterion. References: the closed form for the prior
+    p1 p2, and for exp(-2 p1) (1 + p2^2) the series
+    sum_k (-2)^k / k! [I(m + k e1) + I(m + k e1 + 2 e2)] over closed
+    forms.
+    """
+    m = np.array([0.0, 0.0, 0.0, 1.0, 8.0, 7.0, 10.0, 5.0])
+    e1, e2 = np.eye(8)[:2]
+    spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
+    product = integrate_simplex_log(
+        m, lambda p: np.log(p[:, 0] * p[:, 1]), spec, prior_bins=2
+    )
+    product_dev = abs(math.expm1(product.log_value - log_norm_integral(m + e1 + e2)))
+
+    tilted = integrate_simplex_log(
+        m, lambda p: -2.0 * p[:, 0] + np.log1p(p[:, 1] ** 2), spec, prior_bins=2
+    )
+    base = log_norm_integral(m)
+    series = math.fsum(
+        (-2.0) ** k / math.factorial(k)
+        * (math.exp(log_norm_integral(m + k * e1) - base)
+           + math.exp(log_norm_integral(m + k * e1 + 2.0 * e2) - base))
+        for k in range(80)
+    )
+    tilted_dev = abs(math.expm1(tilted.log_value - base - math.log(series)))
+    evaluations = {product.evaluations, tilted.evaluations}
+    assert evaluations == {32 ** 2 + 5 * 32}, evaluations
+    assert product_dev <= 1e-10, product_dev
+    assert tilted_dev <= 1e-13, tilted_dev
 
 
 def test_criterion_7_variance_identity():

@@ -144,6 +144,23 @@ class TestMomentsCommand:
         assert mask.sub("<t>", spaced.stdout) == mask.sub("<t>", joined.stdout)
         assert report_of(spaced)["inputs"]["counts"] == [-0.5, 0.3, 2.0]
 
+    @pytest.mark.parametrize("counts", ["1,1", "-0.5,0.3,2"])
+    def test_leading_minus_prior_after_a_space(self, counts):
+        # the grammar allows one leading minus, so "--prior -p1+1" is a
+        # value, not an option, also after a spaced negative count
+        mask = re.compile(r'"wall_time_s": [^,\n]+')
+        prior = "-p1+1" if counts == "1,1" else "-p1+2"
+        spaced = run_cli("integrate", "--counts", counts, "--prior", prior)
+        joined = run_cli("integrate", f"--counts={counts}", f"--prior={prior}")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert mask.sub("<t>", spaced.stdout) == mask.sub("<t>", joined.stdout)
+        assert report_of(spaced)["inputs"]["prior"] == prior
+        if counts == "1,1":
+            # int p (1-p)^2 over [0, 1] = B(2, 3) = 1/12
+            assert report_of(spaced)["results"]["value"] == pytest.approx(
+                1 / 12, rel=1e-12
+            )
+
     def test_counts_sources_are_mutually_exclusive(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("1\n2\n")
@@ -191,7 +208,9 @@ class TestIntegrateCommand:
         assert report["results"]["scheme"] == "gauss_grid"
         assert report["results"]["std_error"] == 0.0
         assert report["inputs"]["prior"] == "1"
-        assert report["diagnostics"]["evaluations"] == 32 ** 2
+        # the flat prior reads no bin: one prior point, then one 1-D
+        # sum per angle
+        assert report["diagnostics"]["evaluations"] == 1 + 2 * 32
 
     def test_two_bins_with_a_linear_prior(self):
         # counts (0,0) with prior p1 is the 1-D integral of p over [0,1]
@@ -267,8 +286,8 @@ class TestIntegrateCommand:
                                    "--moment", "1"))
         block = report["results"]["moment"]
         assert block["value"] == pytest.approx(2.0 / 6.0, rel=1e-9)
-        # two integrals ran
-        assert report["diagnostics"]["evaluations"] == 2 * 32 ** 2
+        # two integrals ran, each one prior point and two axis sums
+        assert report["diagnostics"]["evaluations"] == 2 * (1 + 2 * 32)
 
     def test_moment_flag_with_a_pair_of_indices(self):
         report = report_of(run_cli("integrate", "--counts", "1,1,1",
@@ -312,6 +331,38 @@ class TestIntegrateCommand:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    def test_negative_prior_on_the_head_points_exits_3(self):
+        # at four bins the prior sees only the (p1, rest) head points
+        result = run_cli("integrate", "--counts", "1,2,0,3", "--prior", "0 - p1")
+        assert result.returncode == 3
+        assert "numerical failure" in result.stderr
+
+    def test_negative_constant_prior_exits_3(self):
+        # a prior that reads no bin is evaluated once, and still checked
+        result = run_cli("integrate", "--counts", "1,2,0,3", "--prior", "0 - 1")
+        assert result.returncode == 3
+        assert "numerical failure" in result.stderr
+
+    def test_constant_prior_scales_the_flat_value(self):
+        flat = report_of(run_cli("integrate", "--counts", "1,2,0,3"))
+        doubled = report_of(run_cli("integrate", "--counts", "1,2,0,3",
+                                    "--prior", "2"))
+        assert doubled["results"]["log_value"] == pytest.approx(
+            flat["results"]["log_value"] + math.log(2.0), rel=1e-15, abs=0
+        )
+        assert doubled["diagnostics"]["evaluations"] == 1 + 3 * 32
+
+    def test_eight_bins_with_a_two_bin_prior(self):
+        # the full 32^7 grid is over the default budget; the prior reads
+        # p1 and p2, so two tensor axes and five 1-D sums suffice
+        result = run_cli("integrate", "--counts", "0,0,0,1,8,7,10,5",
+                         "--prior", "exp(-2*p1)*(1+p2^2)")
+        report = report_of(result)
+        assert report["diagnostics"]["evaluations"] == 32 ** 2 + 5 * 32
+        assert report["results"]["log_value"] == pytest.approx(
+            -63.99531592592385, rel=1e-13
+        )
+
     def test_division_by_zero_in_prior_exits_3(self):
         result = run_cli("integrate", "--counts", "1,1", "--prior", "1/0")
         assert result.returncode == 3
@@ -323,10 +374,20 @@ class TestIntegrateCommand:
 
 class TestEvalBudgetEnvironment:
     def test_budget_exceeded_exits_3(self):
-        result = run_cli("integrate", "--counts", "1,1,1",
+        # a prior that reads p3 couples both angles: 32^2 points
+        result = run_cli("integrate", "--counts", "1,1,1", "--prior", "p3",
                          env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "100"})
         assert result.returncode == 3
         assert "budget" in result.stderr
+        assert "2 tensor axes" in result.stderr
+
+    def test_flat_prior_fits_the_budget_a_full_grid_exceeds(self):
+        report = report_of(run_cli(
+            "integrate", "--counts", "1,1,1",
+            env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "100"},
+        ))
+        assert report["diagnostics"]["evaluations"] == 1 + 2 * 32
+        assert report["results"]["value"] == pytest.approx(1 / 120, rel=1e-10)
 
     def test_budget_env_is_recorded_in_the_report(self):
         report = report_of(run_cli(

@@ -408,6 +408,158 @@ class TestFactoredGrid:
             assert all(size == chunk for size in sizes[:-1])
 
 
+def _second_last_log_prior(points):
+    # reads p1 and p_{n-1}, whose angles are the first and the last
+    return np.log(2.0 + points[:, -2] - points[:, 0])
+
+
+def _last_bin_log_prior(points):
+    return np.log1p(points[:, -1])
+
+
+# by r: a prior that reads p_1..p_r
+_PRIORS_ON_THE_FIRST_BINS = (
+    lambda p: np.full(p.shape[0], math.log(3.0)),
+    lambda p: -2.0 * p[:, 0],
+    _tilted_log_prior,
+    lambda p: np.log1p(p[:, 0] * p[:, 2]),
+)
+
+
+class TestPartialGrid:
+    """prior_bins = r: the tensor grid over the first r angles, a 1-D
+    sum over each later one."""
+
+    # full-tensor values captured before the partial grid existed
+    @pytest.mark.parametrize("m, nodes, log_prior, frozen", [
+        ([2.0, 0.5, 1.0], 16, _tilted_log_prior, -5.858575737666868),
+        ([1.0, 2.0, 0.0, 3.0], 16, _second_last_log_prior, -9.675066944121074),
+        ([0.5, 1.5, -0.5, 2.5], 24, _last_bin_log_prior, -6.225016689266598),
+        ([3.0, 1.0, 4.0, 1.0, 5.0], 8, _tilted_log_prior, -27.020006511790083),
+    ])
+    def test_every_bin_is_the_full_tensor_bit_for_bit(
+        self, m, nodes, log_prior, frozen
+    ):
+        n = len(m)
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        # None is the default; a prior reading p_n needs no more than
+        # the n - 1 angles
+        for prior_bins in (None, n - 1, n):
+            est = integrate_simplex_log(
+                np.array(m), log_prior, spec, prior_bins=prior_bins
+            )
+            assert est.log_value == frozen
+            assert est.evaluations == nodes ** (n - 1)
+
+    @pytest.mark.parametrize("m, nodes, prior_bins", [
+        (m, nodes, r)
+        for m, nodes in (
+            ([10.0, 3.0, 0.0, 7.0], 32),
+            ([0.5, 2.5, 1.5, 4.5], 64),
+            ([10.0] * 5, 32),
+            ([3.0, 1.0, 4.0, 1.0, 5.0], 32),
+            ([1.5, 0.5, 3.5, 2.5, 0.0], 32),
+        )
+        for r in range(len(m) - 1)
+    ])
+    def test_fewer_bins_agree_with_the_full_tensor(self, m, nodes, prior_bins):
+        # a prior that reads p_1..p_r and no later bin
+        log_prior = _PRIORS_ON_THE_FIRST_BINS[prior_bins]
+        m = np.array(m)
+        d = m.size - 1
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        full = integrate_simplex_log(m, log_prior, spec)
+        partial = integrate_simplex_log(m, log_prior, spec, prior_bins=prior_bins)
+        assert log_rel_gap(partial.log_value, full.log_value) <= 1e-13
+        assert partial.evaluations == nodes ** prior_bins + (d - prior_bins) * nodes
+
+    @pytest.mark.parametrize("n, prior_bins", [(3, 1), (5, 2), (5, 3), (6, 1)])
+    def test_the_prior_sees_its_bins_and_the_mass_left(self, n, prior_bins):
+        # (count, r+1) points: p_1..p_r on the grid's first r angles,
+        # then 1 - p_1 - ... - p_r
+        nodes = 6
+        seen = []
+
+        def log_prior(points):
+            seen.append(points.copy())
+            return np.zeros(points.shape[0])
+
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        integrate_simplex_log(np.ones(n), log_prior, spec, prior_bins=prior_bins)
+        points = np.concatenate(seen)
+        theta, _ = _angle_rule(nodes)
+        angles = np.indices((nodes,) * prior_bins).reshape(prior_bins, -1).T
+        # any later angles give the same first r bins and the same rest
+        later = np.zeros((angles.shape[0], n - 1 - prior_bins))
+        full = angles_to_simplex(np.concatenate([theta[angles], later], axis=1))
+        assert points.shape == (nodes ** prior_bins, prior_bins + 1)
+        assert np.array_equal(points[:, :prior_bins], full[:, :prior_bins])
+        np.testing.assert_allclose(
+            points[:, -1], np.sum(full[:, prior_bins:], axis=1), rtol=1e-15, atol=0
+        )
+
+    @pytest.mark.parametrize("m", [[1.0, 1.0, 1.0], [0.5, 3.0, -0.5, 2.0, 7.0]])
+    def test_a_prior_that_reads_no_bin_is_one_point(self, m):
+        m = np.array(m)
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
+        separable = integrate_separable(m, spec)
+        seen = []
+
+        def log_constant(points):
+            seen.append(points.copy())
+            return np.full(points.shape[0], math.log(2.0))
+
+        est = integrate_simplex_log(m, log_constant, spec, prior_bins=0)
+        assert [p.tolist() for p in seen] == [[[1.0]]]
+        assert est.log_value == math.log(2.0) + separable.log_value
+        assert est.evaluations == 1 + separable.evaluations
+        flat = integrate_simplex_log(
+            m, lambda p: np.zeros(p.shape[0]), spec, prior_bins=0
+        )
+        assert flat.log_value == separable.log_value
+
+    @pytest.mark.parametrize("prior_bins, log_prior", [
+        (0, lambda p: np.full(p.shape[0], math.nan)),
+        (2, lambda p: np.log(p[:, 1] - 0.5)),
+    ])
+    def test_head_values_are_still_checked(self, prior_bins, log_prior):
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            IntegrationError, match="NaN or infinity"
+        ):
+            integrate_simplex_log(np.ones(5), log_prior, spec, prior_bins=prior_bins)
+
+    def test_budget_counts_only_the_tensor_axes(self):
+        # 16^4 = 65536 for the full grid; 16^2 + 2 * 16 = 288 here
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16)
+        est = integrate_simplex_log(
+            np.ones(5), _tilted_log_prior, spec, budget=288, prior_bins=2
+        )
+        assert est.evaluations == 288
+        with pytest.raises(IntegrationError, match="2 tensor axes of 4"):
+            integrate_simplex_log(
+                np.ones(5), _tilted_log_prior, spec, budget=287, prior_bins=2
+            )
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_prior_bins_must_be_a_count(self, bad):
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8)
+        with pytest.raises(ValueError, match="prior_bins"):
+            integrate_simplex_log(
+                np.ones(3), _tilted_log_prior, spec, prior_bins=bad
+            )
+
+    @pytest.mark.parametrize("spec", [
+        QuadratureSpec(scheme="monte_carlo", samples=5000, seed=4),
+        QuadratureSpec(scheme="nested_oracle", rel_tol=1e-6),
+    ], ids=lambda spec: spec.scheme)
+    def test_other_schemes_ignore_it(self, spec):
+        m = np.array([1.0, 0.0, 2.0])
+        plain = integrate_simplex_log(m, _tilted_log_prior, spec)
+        told = integrate_simplex_log(m, _tilted_log_prior, spec, prior_bins=2)
+        assert told == plain
+
+
 class TestSeparable:
     def test_unit_counts_give_one_over_120(self):
         est = integrate_separable(np.array([1.0, 1.0, 1.0]))
