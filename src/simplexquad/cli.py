@@ -30,9 +30,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
-from .expressions import EvaluationError, ExpressionSyntaxError, evaluate_batch, parse
 from .moments import (
     as_exponent_vector,
     log_norm_integral,
@@ -42,17 +39,39 @@ from .moments import (
     std_dev,
     variance,
 )
-from .quadrature import (
-    IntegrationError,
-    QuadratureSpec,
-    integrate_separable,
-    integrate_simplex_log,
-    nested_oracle,
-    power_log_integrand,
-    resolve_eval_budget,
-)
+from .oracle import IntegrationError
+from .spec import QuadratureSpec, resolve_eval_budget
 
 __all__ = ["main", "build_parser"]
+
+# numpy and the numerical routes, bound as module globals on the first
+# integrate or compare: moments, --help and input errors never load them
+_NUMERICS = (
+    "np", "parse", "evaluate_batch", "EvaluationError",
+    "ExpressionSyntaxError", "integrate_simplex_log", "integrate_separable",
+    "nested_oracle", "power_log_integrand",
+)
+
+
+def _bind_numerics():
+    import numpy as np
+
+    from .expressions import EvaluationError, ExpressionSyntaxError, evaluate_batch, parse
+    from .quadrature import (integrate_separable, integrate_simplex_log,
+                             nested_oracle, power_log_integrand)
+
+    found = locals()
+    for name in _NUMERICS:
+        # a name already bound stays, such as a wrapper set from outside
+        globals().setdefault(name, found[name])
+
+
+def __getattr__(name):
+    if name not in _NUMERICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numerics()
+    return globals()[name]
+
 
 FORMAT_VERSION = 1
 
@@ -224,7 +243,7 @@ def _parse_moment_indices(text, n):
 
 
 def _moment_multi_index(indices, n):
-    a = np.zeros(n)
+    a = [0.0] * n
     for index in indices:
         a[index - 1] += 1.0
     return a
@@ -252,17 +271,17 @@ def _make_report(command, counts, args, results, evaluations, wall_time,
 
 
 def cmd_moments(args, counts):
-    n = counts.size
+    n = len(counts)
     indices = _parse_moment_indices(args.moment, n)
 
     mean_values = means(counts)
     results = {
-        "mean": [float(v) for v in mean_values],
-        "variance": [float(variance(counts, i)) for i in range(1, n + 1)],
-        "std_dev": [float(std_dev(counts, i)) for i in range(1, n + 1)],
-        "skewness": [float(skewness(counts, i)) for i in range(1, n + 1)],
+        "mean": mean_values,
+        "variance": [variance(counts, i) for i in range(1, n + 1)],
+        "std_dev": [std_dev(counts, i) for i in range(1, n + 1)],
+        "skewness": [skewness(counts, i) for i in range(1, n + 1)],
         # self-check: the means must sum to 1
-        "mean_sum": math.fsum(float(v) for v in mean_values),
+        "mean_sum": math.fsum(mean_values),
     }
     if indices is not None:
         results["moment"] = {
@@ -300,6 +319,8 @@ def _log_or_null(log_value):
 
 
 def cmd_integrate(args, counts):
+    _bind_numerics()
+    counts = np.asarray(counts)
     n = counts.size
     indices = _parse_moment_indices(args.moment, n)
     try:
@@ -350,7 +371,8 @@ def cmd_integrate(args, counts):
 
 
 def cmd_compare(args, counts):
-    n = counts.size
+    _bind_numerics()
+    n = len(counts)
 
     exact_log = log_norm_integral(counts)
     grid_spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=args.nodes)
@@ -465,11 +487,15 @@ _DASHED_VALUES = {"--counts": r"-\.?\d", "--prior": r"-[^-]"}
 
 def _attach_dashed_values(argv):
     # argparse takes such a token for an option, so "--counts -0.5,0.3,2"
-    # or "--prior -p1+1" would lose its value; the token is joined to
-    # its flag as "--counts=-0.5,0.3,2" or "--prior=-p1+1"
+    # or "--prio -p1+1" would lose its value; the token is joined to
+    # its flag as "--counts=-0.5,0.3,2" or "--prio=-p1+1". A flag may be
+    # any abbreviation of the name: argparse resolves "--prio=..." as it
+    # would "--prio", and one it calls ambiguous ("--count") stays so
     joined = []
     for token in argv:
-        pattern = _DASHED_VALUES.get(joined[-1]) if joined else None
+        flag = joined[-1] if joined else ""
+        pattern = next((p for name, p in _DASHED_VALUES.items()
+                        if len(flag) > 2 and name.startswith(flag)), None)
         if pattern and re.match(pattern, token):
             joined[-1] = f"{joined[-1]}={token}"
         else:
@@ -491,10 +517,13 @@ def main(argv=None):
             time.perf_counter() - start, extra_inputs,
         )
         text = _render(report, args.plain)
-    except (_InputError, ExpressionSyntaxError, ValueError, IndexError) as exc:
+    # an ExpressionSyntaxError is a ValueError
+    except (_InputError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, EvaluationError, OverflowError) as exc:
+    # EvaluationError is bound only once integrate or compare has run
+    except (IntegrationError, OverflowError,
+            globals().get("EvaluationError", IntegrationError)) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)

@@ -30,8 +30,6 @@ naming used by the expression language and the command line.
 
 import math
 
-import numpy as np
-
 from .special import log_gamma
 
 __all__ = [
@@ -49,11 +47,19 @@ __all__ = [
 
 
 def as_exponent_vector(m):
-    """Validate counts/exponents: a 1-D vector, n >= 2, every entry > -1."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 1 or m.size < 2:
+    """Validate counts/exponents: a 1-D vector, n >= 2, every entry > -1.
+
+    Returns the entries as a list of floats.
+    """
+    try:
+        if isinstance(m, str) or getattr(m, "ndim", 1) != 1:
+            raise TypeError
+        m = [float(v) for v in m]
+    except TypeError:
+        m = []  # a scalar, a string or a nested sequence: not 1-D
+    if len(m) < 2:
         raise ValueError("counts must form a 1-D vector with at least two bins")
-    if not np.all(np.isfinite(m)) or np.any(m <= -1.0):
+    if not all(-1.0 < v < math.inf for v in m):
         raise ValueError("every count must be a finite value > -1")
     return m
 
@@ -73,8 +79,7 @@ def log_norm_integral(m) -> float:
     I_n = prod Gamma(m_i + 1) / Gamma(sum (m_i + 1)); for integer
     counts this is prod m_i! / (N + n - 1)!.
     """
-    m = as_exponent_vector(m)
-    args = m + 1.0
+    args = [v + 1.0 for v in as_exponent_vector(m)]
     return math.fsum(log_gamma(a) for a in args) - log_gamma(math.fsum(args))
 
 
@@ -89,51 +94,53 @@ def moment(m, idx) -> float:
     use exp(ln I(m + a) - ln I(m)).
     """
     m = as_exponent_vector(m)
-    a = np.asarray(idx, dtype=float)
-    if a.shape != m.shape:
+    a = [float(v) for v in idx]
+    if len(a) != len(m):
         raise ValueError(
-            f"moment index has {a.size} entries for {m.size} bins"
+            f"moment index has {len(a)} entries for {len(m)} bins"
         )
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a)):
         raise ValueError("moment index entries must be finite")
-    if np.any(m + a <= -1.0):
+    shifted = [c + k for c, k in zip(m, a)]
+    if any(v <= -1.0 for v in shifted):
         raise ValueError("every shifted count m_i + a_i must stay > -1")
-    integer = np.all(a >= 0.0) and np.all(a == np.floor(a))
-    if integer and a.sum() <= _EXACT_ORDER:
+    integer = all(k >= 0.0 and k.is_integer() for k in a)
+    if integer and sum(a) <= _EXACT_ORDER:
         # numerator factors m_i + 1 + j, j < a_i, in ascending order:
         # the k-th is at most N + n + k, and the order does not depend
         # on how the bins are numbered
-        rising = sorted(c + 1.0 + j for c, k in zip(m.tolist(), a.tolist())
+        rising = sorted(c + 1.0 + j for c, k in zip(m, a)
                         for j in range(int(k)))
         t = _total(m)
         return math.prod((x / (t + k) for k, x in enumerate(rising)), start=1.0)
-    return math.exp(log_norm_integral(m + a) - log_norm_integral(m))
+    return math.exp(log_norm_integral(shifted) - log_norm_integral(m))
 
 
 def _total(m) -> float:
     # N + n, the normalizing total behind every closed-form moment, in
     # one rounding: fsum(m) + n cancels when counts sit near -1
-    return math.fsum([*m, m.size])
+    return math.fsum([*m, len(m)])
 
 
 def mean(m, i) -> float:
     """Posterior mean of bin i: (m_i + 1) / (N + n), N = sum m_j."""
     m = as_exponent_vector(m)
-    i = _bin_index(i, m.size)
+    i = _bin_index(i, len(m))
     return (m[i] + 1.0) / _total(m)
 
 
 def means(m):
-    """All n posterior means at once; they sum to 1 by construction."""
+    """All n posterior means, a list; they sum to 1 by construction."""
     m = as_exponent_vector(m)
-    return (m + 1.0) / _total(m)
+    t = _total(m)
+    return [(v + 1.0) / t for v in m]
 
 
 def _beta_marginal(m, i):
     # bin i's Beta(a, b), b summed from the other bins, not N + n - a
     m = as_exponent_vector(m)
-    i0 = _bin_index(i, m.size)
-    return float(m[i0]) + 1.0, math.fsum([*np.delete(m, i0), m.size - 1])
+    i0 = _bin_index(i, len(m))
+    return m[i0] + 1.0, math.fsum([*m[:i0], *m[i0 + 1:], len(m) - 1])
 
 
 def second_moment(m, i) -> float:
@@ -191,8 +198,8 @@ def covariance(m, i, j) -> float:
     same unit of probability. covariance(m, i, i) is variance.
     """
     m = as_exponent_vector(m)
-    i0 = _bin_index(i, m.size)
-    j0 = _bin_index(j, m.size)
+    i0 = _bin_index(i, len(m))
+    j0 = _bin_index(j, len(m))
     if i0 == j0:
         return variance(m, i)
     t = _total(m)

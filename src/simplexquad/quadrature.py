@@ -52,7 +52,6 @@ linear doubles long before they stop mattering.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +59,13 @@ import numpy as np
 
 from .moments import as_exponent_vector
 from .oracle import IntegrationError, nested_simplex_integral
+from .spec import (
+    BUDGET_ENV_VAR,
+    DEFAULT_EVAL_BUDGET,
+    QuadratureSpec,
+    _whole,
+    resolve_eval_budget,
+)
 from .spherical import (
     HALF_PI,
     _map_and_log_jacobian,
@@ -86,76 +92,8 @@ __all__ = [
     "nested_oracle",
 ]
 
-DEFAULT_EVAL_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "SIMPLEXQUAD_EVAL_BUDGET"
-
-_SCHEMES = ("gauss_grid", "monte_carlo", "nested_oracle")
 _CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
-
-
-def resolve_eval_budget(budget=None):
-    """Effective evaluation cap: explicit argument, else the
-    SIMPLEXQUAD_EVAL_BUDGET environment variable, else 1e8."""
-    source = "evaluation budget"
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_EVAL_BUDGET
-        source = BUDGET_ENV_VAR
-        try:
-            budget = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be a number, got {raw!r}"
-            ) from None
-    try:
-        limit = int(budget)
-    except (OverflowError, ValueError):
-        # inf overflows int() and NaN has no integer value
-        raise ValueError(f"{source} must be finite, got {budget!r}") from None
-    if limit <= 0:
-        raise ValueError("evaluation budget must be positive")
-    return limit
-
-
-def _whole(what, value, least=None):
-    """value as an int; ValueError unless it is a whole number >= least."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Which scheme to run and its knobs.
-
-    Only the fields of the chosen scheme matter: nodes_per_axis for
-    gauss_grid, samples and seed for monte_carlo, rel_tol for
-    nested_oracle. The rest are ignored.
-    """
-
-    scheme: str
-    nodes_per_axis: int = 32
-    samples: int = 100_000
-    seed: int = 0
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(
-                f"scheme must be one of {_SCHEMES}, got {self.scheme!r}"
-            )
-        if self.scheme == "gauss_grid":
-            nodes = _whole("nodes_per_axis", self.nodes_per_axis, 2)
-            object.__setattr__(self, "nodes_per_axis", nodes)
-        if self.scheme == "monte_carlo":
-            object.__setattr__(self, "samples", _whole("samples", self.samples, 1))
-            object.__setattr__(self, "seed", _whole("seed", self.seed))
-        if self.scheme == "nested_oracle" and not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -313,7 +251,7 @@ def power_log_integrand(m):
     Zero exponents contribute nothing even at p_i = 0 (the 0^0 = 1
     convention), so boundary points do not produce NaNs.
     """
-    m = as_exponent_vector(m)
+    m = np.asarray(as_exponent_vector(m))
 
     def log_f(points):
         return np.sum(_xlogy(m, points), axis=-1)
@@ -447,7 +385,7 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
     p_1..p_r and the mass left for the later bins. The other schemes
     ignore it.
     """
-    m = as_exponent_vector(m)
+    m = np.asarray(as_exponent_vector(m))
     if not isinstance(spec, QuadratureSpec):
         raise TypeError("spec must be a QuadratureSpec")
     if prior_bins is not None:
@@ -483,7 +421,7 @@ def integrate_separable(m, spec=None, budget=None):
     gauss_grid: within 1e-12 for integer counts up to 10 at n <= 5 and
     32 nodes, slower for real counts with end singularities.
     """
-    m = as_exponent_vector(m)
+    m = np.asarray(as_exponent_vector(m))
     n = m.size
     if spec is None:
         spec = QuadratureSpec(scheme="gauss_grid")

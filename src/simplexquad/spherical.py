@@ -292,7 +292,7 @@ def log_kernel(j, n, m, theta_j):
         ln K_j; -inf at boundary zeros of the kernel, +inf where a
         negative power (m_j < -1/2 at the cos end, say) diverges.
     """
-    m = as_exponent_vector(m)
+    m = np.asarray(as_exponent_vector(m))
     if n != m.size:
         raise ValueError(f"n={n} does not match len(m)={m.size}")
     if not 1 <= j <= n - 1:

@@ -161,6 +161,20 @@ class TestMomentsCommand:
                 1 / 12, rel=1e-12
             )
 
+    def test_abbreviated_prior_flag_keeps_a_leading_minus_value(self):
+        # argparse accepts the unique prefix "--prio" for "--prior"
+        mask = re.compile(r'"wall_time_s": [^,\n]+')
+        spaced = run_cli("integrate", "--counts", "1,1", "--prio", "-p1+1")
+        joined = run_cli("integrate", "--counts", "1,1", "--prior=-p1+1")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert mask.sub("<t>", spaced.stdout) == mask.sub("<t>", joined.stdout)
+
+    def test_ambiguous_abbreviation_with_a_minus_value_exits_2(self):
+        # "--count" could be --counts or --counts-file
+        result = run_cli("integrate", "--count", "-0.5,0.3")
+        assert result.returncode == 2
+        assert "ambiguous option" in result.stderr
+
     def test_counts_sources_are_mutually_exclusive(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("1\n2\n")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from simplexquad import (
+    as_exponent_vector,
     covariance,
     log_norm_integral,
     mean,
@@ -411,3 +412,118 @@ class TestClosedForms:
             variance(m, 4)
         with pytest.raises(IndexError):
             covariance(m, 1, -1)
+
+
+# Frozen values of the closed forms, captured before they moved from
+# numpy arrays to plain floats; the move must not change a bit. Counts
+# near -1, counts of order 1e5, and the vector whose variances
+# underflow (see test_std_dev_survives_an_underflowing_variance).
+FROZEN = {
+    (-0.9999999999989165, -0.9999999999970104, 2.5): {
+        "means": [3.095618999229798e-13, 8.54173874487755e-13,
+                  0.9999999999988363],
+        "variance": [6.879153331613416e-14, 1.898164165525005e-13,
+                     2.5860794986851713e-13],
+        "std_dev": [2.622814010106972e-07, 4.3567925880457114e-07,
+                    5.085351019040054e-07],
+        "skewness": [1386435.950984714, 834642.3573920612,
+                     -715066.3981183554],
+        "covariance": [6.879153331613416e-14, -5.875993054461398e-26,
+                       -6.879153331607541e-14, -5.875993054461398e-26,
+                       1.898164165525005e-13, -1.8981641655244175e-13,
+                       -6.879153331607541e-14, -1.8981641655244175e-13,
+                       2.5860794986851713e-13],
+        "moment": {(2, 1, 0): 3.7392683073901613e-26,
+                   (0.5, 1.75, -0.5): 2.9970498129845944e-25},
+        "log_norm_integral": 54.08673400777531,
+    },
+    (123456.0, 98765.5, 100000.25, 54321.0): {
+        "means": [0.3278663273551026, 0.26229545202554533,
+                  0.265574593327389, 0.14426362729196307],
+        "variance": [5.852378582577622e-07, 5.138698820329166e-07,
+                     5.179813946740644e-07, 3.278512038181841e-07],
+        "std_dev": [0.0007650084040438786, 0.0007168471817848743,
+                    0.0007197092431489708, 0.0005725829230934015],
+        "skewness": [0.0023902229383655316, 0.003522489360381309,
+                     0.0034600819015357005, 0.006599767893930886],
+        "covariance": [5.852378582577622e-07, -2.2838496986786422e-07,
+                       -2.312401722041254e-07, -1.2561271618577267e-07,
+                       -2.2838496986786422e-07, 5.138698820329166e-07,
+                       -1.8499382350128997e-07, -1.0049108866376242e-07,
+                       -2.312401722041254e-07, -1.8499382350128997e-07,
+                       5.179813946740644e-07, -1.01747398968649e-07,
+                       -1.2561271618577267e-07, -1.0049108866376242e-07,
+                       -1.01747398968649e-07, 3.278512038181841e-07],
+        "moment": {(1, 0, 3, 2): 0.00012781264122703332,
+                   (0.5, 2.25, -1.5, 0.0): 0.20599730458234533},
+        "log_norm_integral": -507625.36504848767,
+    },
+    (9.98e66, 1.36e129, -0.9999999999961533, -0.0225, 1.03e256): {
+        "means": [9.689320388349514e-190, 1.320388349514563e-127,
+                  3.7346609084672255e-268, 9.490291262135922e-257, 1.0],
+        "variance": [0.0] * 5,
+        "std_dev": [3.067100776491517e-223, 3.580405614482674e-192,
+                    1.9041755111209275e-262, 9.598893171497665e-257,
+                    3.580405614482674e-192],
+        "skewness": [6.3308893783291835e-34, 5.423261445466405e-65,
+                     1019731.4068347034, 2.0228869496966944,
+                     -5.423261445466405e-65],
+        "covariance": [0.0 if i == j else -0.0
+                       for i in range(5) for j in range(5)],
+        "moment": {(0, 0, 1, 2, 0): 0.0, (0.0, 0.0, 0.5, 1.25, 0.0): 1.0},
+        "log_norm_integral": 0.0,
+    },
+}
+
+
+def bits(values):
+    # equal bit for bit compares equal here, the sign of a zero included
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("counts", list(FROZEN))
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_closed_forms_keep_every_bit(self, counts, as_array):
+        want = FROZEN[counts]
+        m = np.array(counts) if as_array else list(counts)
+        bins = range(1, len(counts) + 1)
+        assert bits(means(m)) == bits(want["means"])
+        for name, fn in (("variance", variance), ("std_dev", std_dev),
+                         ("skewness", skewness)):
+            assert bits([fn(m, i) for i in bins]) == bits(want[name]), name
+        got = [covariance(m, i, j) for i in bins for j in bins]
+        assert bits(got) == bits(want["covariance"])
+        for index, value in want["moment"].items():
+            assert moment(m, index) == value, index
+        assert log_norm_integral(m) == want["log_norm_integral"]
+
+    def test_integer_moment_on_both_sides_of_the_exact_order(self):
+        # |a| = 1e5 is done factor by factor; one more takes the logs
+        m = [1e7, 1.0, 2.0]
+        assert moment(m, [100000, 0, 0]) == 0.9514657017374286
+        assert moment(m, [100000, 1, 0]) == 1.8840894459586651e-07
+
+
+class TestExponentVector:
+    def test_returns_a_list_of_floats(self):
+        got = as_exponent_vector(np.array([1, 2, 3]))
+        assert type(got) is list
+        assert got == [1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in got)
+        assert type(means((1, 2))) is list
+
+    @pytest.mark.parametrize("bad", [
+        3.0, "12", [1.0], [[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)),
+        np.ones((2, 1)),
+    ])
+    def test_rejects_what_is_not_one_vector_of_two_or_more(self, bad):
+        with pytest.raises(ValueError, match="1-D vector"):
+            as_exponent_vector(bad)
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, -1.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 1.0],
+    ])
+    def test_rejects_counts_outside_the_domain(self, bad):
+        with pytest.raises(ValueError, match="finite value > -1"):
+            as_exponent_vector(bad)

@@ -52,6 +52,51 @@ def test_package_exports_each_public_name_once():
         assert internal not in names
 
 
+# the package's public names, in order, as they stood before the
+# package resolved them on first access
+PUBLIC_NAMES = [
+    "__version__", "log_gamma", "log_beta", "log_factorial",
+    "angles_to_simplex", "simplex_to_angles", "log_jacobian", "log_kernel",
+    "as_exponent_vector", "log_norm_integral", "moment", "mean", "means",
+    "second_moment", "variance", "std_dev", "skewness", "covariance",
+    "DEFAULT_EVAL_BUDGET", "BUDGET_ENV_VAR", "IntegrationError",
+    "QuadratureSpec", "IntegralEstimate", "resolve_eval_budget",
+    "gauss_legendre", "power_log_integrand", "integrate_simplex_log",
+    "integrate_separable", "nested_oracle", "GRAMMAR_VERSION",
+    "PriorExpression", "ExpressionSyntaxError", "EvaluationError", "parse",
+    "evaluate", "evaluate_batch", "format_expression",
+]
+
+
+def test_package_names_are_pinned_in_order():
+    assert simplexquad.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from simplexquad import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(simplexquad, name), name
+
+
+def test_package_names_are_the_modules_own():
+    # the package lists each module's __all__ so that it need not import
+    # the module to know them; the lists must agree
+    from simplexquad import expressions, moments, special, spherical
+
+    listed = ["__version__"]
+    for module in (special, spherical, moments, quadrature, expressions):
+        listed += module.__all__
+        for name in module.__all__:
+            assert getattr(simplexquad, name) is getattr(module, name), name
+    assert listed == simplexquad.__all__
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        simplexquad.no_such_name  # noqa: B018
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("count", [2, 3, 7, 16, 31, 32, 64])
     def test_matches_the_reference_implementation(self, count):
