@@ -76,6 +76,7 @@ def __getattr__(name):
 FORMAT_VERSION = 1
 
 _DEFAULT_TOL = 1e-8
+_SPEC_DEFAULTS = QuadratureSpec._field_defaults
 
 
 class _InputError(Exception):
@@ -148,9 +149,9 @@ def build_parser():
         default="gauss",
         help="gauss: tensor Gauss grid; mc: Monte Carlo; oracle: brute force",
     )
-    p_integrate.add_argument("--nodes", type=int, default=QuadratureSpec.nodes_per_axis)
-    p_integrate.add_argument("--samples", type=int, default=QuadratureSpec.samples)
-    p_integrate.add_argument("--seed", type=int, default=QuadratureSpec.seed)
+    p_integrate.add_argument("--nodes", type=int, default=_SPEC_DEFAULTS["nodes_per_axis"])
+    p_integrate.add_argument("--samples", type=int, default=_SPEC_DEFAULTS["samples"])
+    p_integrate.add_argument("--seed", type=int, default=_SPEC_DEFAULTS["seed"])
     p_integrate.add_argument(
         "--tol",
         type=_tolerance,
@@ -167,7 +168,7 @@ def build_parser():
         help="cross-check the exact, separable, grid and oracle routes",
     )
     add_common(p_compare)
-    p_compare.add_argument("--nodes", type=int, default=QuadratureSpec.nodes_per_axis)
+    p_compare.add_argument("--nodes", type=int, default=_SPEC_DEFAULTS["nodes_per_axis"])
     p_compare.add_argument(
         "--tol",
         type=_tolerance,
@@ -253,7 +254,7 @@ def _make_report(command, counts, args, results, evaluations, wall_time,
                  extra_inputs):
     inputs = {
         "counts": [float(v) for v in counts],
-        "nodes": int(getattr(args, "nodes", QuadratureSpec.nodes_per_axis)),
+        "nodes": int(getattr(args, "nodes", _SPEC_DEFAULTS["nodes_per_axis"])),
         "tol": float(getattr(args, "tol", _DEFAULT_TOL)),
         "eval_budget": int(resolve_eval_budget(None)),
         **extra_inputs,
@@ -391,10 +392,15 @@ def cmd_compare(args, counts):
         )
         try:
             oracle_estimate = nested_oracle(counts, spec=oracle_spec)
-            evaluations += oracle_estimate.evaluations
         except IntegrationError as exc:
             oracle_note = f"skipped: {exc}"
             evaluations += exc.evaluations
+        else:
+            evaluations += oracle_estimate.evaluations
+            if oracle_estimate.log_value == -math.inf:
+                # the oracle sums linear doubles, so a tiny integral
+                # comes back as 0, which says nothing about the others
+                oracle_note = "skipped: the nested oracle underflowed to 0"
     else:
         oracle_note = f"skipped: the nested oracle is limited to n <= 5, got n={n}"
 
@@ -403,7 +409,7 @@ def cmd_compare(args, counts):
         "separable": separable.log_value,
         "grid": grid.log_value,
     }
-    if oracle_estimate is not None:
+    if oracle_note is None:
         log_values["oracle"] = oracle_estimate.log_value
 
     # pairwise relative deviations, measured against the exact value
@@ -425,7 +431,7 @@ def cmd_compare(args, counts):
         "log_separable": separable.log_value,
         "log_grid": grid.log_value,
         "log_oracle": (
-            oracle_estimate.log_value if oracle_estimate is not None else None
+            _log_or_null(oracle_estimate.log_value) if oracle_estimate else None
         ),
         "oracle_note": oracle_note,
         "deviations": deviations,

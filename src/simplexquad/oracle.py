@@ -10,9 +10,11 @@ integrand is prod p_i^{m_i} times an optional prior; each level
 multiplies its own p_i^{m_i} into a running factor, so the counts are
 folded into the nesting and only the prior is a callable. This module
 evaluates exactly that, one adaptive Gauss-Kronrod pass per nesting
-level, in plain linear arithmetic. It is slow by design and shares no
-code with the spherical change of variables, so the two routes can
-serve as independent checks on each other. Practical up to n = 5.
+level, in plain linear arithmetic. A pass hands its integrand all 15
+abscissae in one call, so the prior is called once per innermost pass,
+on 15 points. It is slow by design and shares no code with the
+spherical change of variables, so the two routes can serve as
+independent checks on each other. Practical up to n = 5.
 
 Everything here is deliberately self-contained: no numpy, no package
 imports beyond the exception type it defines.
@@ -83,24 +85,33 @@ class _Budget:
 def gauss_kronrod(f, a, b, budget):
     """One 15-point Kronrod pass over [a, b], charged to budget.
 
+    f takes the pass's 15 abscissae as one list, the center first and
+    then center - offset, center + offset for each Kronrod offset from
+    the outermost in, and returns their 15 values in that order.
     Returns (integral, error_estimate) where the error estimate is the
     difference from the embedded 7-point Gauss rule, the usual
-    conservative proxy for the true error.
+    conservative proxy for the true error. Both sums add the center
+    term and then the symmetric pairs, outermost first, left to right.
     """
     budget.spend(15)
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
-    fc = f(center)
-    result_k = _WGK[7] * fc
-    result_g = _WG[3] * fc
-    for i in range(7):
-        off = half * _XGK[i]
-        v = f(center - off) + f(center + off)
-        result_k += _WGK[i] * v
-        if i % 2 == 1:
-            result_g += _WG[i // 2] * v
-    result_k *= half
-    result_g *= half
+    o0, o1, o2, o3, o4, o5, o6 = [half * x for x in _XGK[:7]]
+    fc, f0m, f0p, f1m, f1p, f2m, f2p, f3m, f3p, f4m, f4p, f5m, f5p, f6m, f6p = f([
+        center,
+        center - o0, center + o0, center - o1, center + o1,
+        center - o2, center + o2, center - o3, center + o3,
+        center - o4, center + o4, center - o5, center + o5,
+        center - o6, center + o6,
+    ])
+    # the pairs that the Gauss rule shares
+    v1 = f1m + f1p
+    v3 = f3m + f3p
+    v5 = f5m + f5p
+    result_k = (_WGK[7] * fc + _WGK[0] * (f0m + f0p) + _WGK[1] * v1
+                + _WGK[2] * (f2m + f2p) + _WGK[3] * v3 + _WGK[4] * (f4m + f4p)
+                + _WGK[5] * v5 + _WGK[6] * (f6m + f6p)) * half
+    result_g = (_WG[3] * fc + _WG[0] * v1 + _WG[1] * v3 + _WG[2] * v5) * half
     return result_k, abs(result_k - result_g)
 
 
@@ -133,13 +144,6 @@ def _integrate(f, a, b, rel_tol, budget):
     )
 
 
-def _pow(base, exponent):
-    # 0^0 = 1 here: a zero exponent removes the factor
-    if base <= 0.0:
-        return 1.0 if exponent == 0.0 else 0.0
-    return base ** exponent
-
-
 def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8):
     """Integrate prod p_i^{m_i} * prior(p) over the simplex by direct
     nesting in p coordinates.
@@ -151,14 +155,16 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
         count n = len(m) must satisfy 2 <= n <= 5 (cost explodes
         beyond that; use the spherical schemes instead).
     prior : callable, optional
-        Takes the full probability vector as a list of n floats and
-        returns a nonnegative float. None means 1, and then no prior is
+        A batch callable: takes a list of probability vectors, each a
+        list of n floats, and returns one nonnegative float per vector,
+        in order. The innermost level calls it once per Kronrod pass,
+        with that pass's 15 points. None means 1, and then no prior is
         evaluated.
     rel_tol : float
         Per-level refinement target, relative to each level's first
         whole-interval estimate.
     max_evaluations : int
-        Hard cap on innermost integrand evaluations.
+        Hard cap on evaluations, charged 15 per pass at every level.
 
     Returns
     -------
@@ -178,25 +184,36 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
         raise ValueError("rel_tol must be positive")
 
     budget = _Budget(max_evaluations)
+    # p^m_i is p ** m_i for p > 0; a base of 0 gives zero[i], so that
+    # 0^0 = 1 (a zero exponent removes the factor)
+    zero = [1.0 if v == 0.0 else 0.0 for v in m]
 
     def level(factor, prefix, remaining, k):
         # factor is the product of the outer powers and prefix the outer
         # probabilities; k is the 0-based index of the probability being
         # integrated. The innermost level is k = n-2, where p_{n-1}
-        # (0-based) is fixed to the leftover mass.
+        # (0-based) is fixed to the leftover mass, clipped at 0 where
+        # roundoff took p past it.
+        mk, zk = m[k], zero[k]
         if k == n - 2:
-            def inner(p):
-                leftover = remaining - p
-                if leftover < 0.0:
-                    leftover = 0.0
-                value = factor * _pow(p, m[k]) * _pow(leftover, m[n - 1])
+            ml, zl = m[n - 1], zero[n - 1]
+
+            def inner(points):
+                values = [
+                    factor * (p ** mk if p > 0.0 else zk) * (q ** ml if q > 0.0 else zl)
+                    for p in points for q in [remaining - p if p < remaining else 0.0]
+                ]
                 if prior is None:
-                    return value
-                return value * prior(prefix + [p, leftover])
+                    return values
+                weights = prior([prefix + [p, remaining - p if p < remaining else 0.0]
+                                 for p in points])
+                return [v * w for v, w in zip(values, weights)]
             return _integrate(inner, 0.0, remaining, rel_tol, budget)
 
-        def outer(p):
-            return level(factor * _pow(p, m[k]), prefix + [p], remaining - p, k + 1)
+        def outer(points):
+            return [level(factor * (p ** mk if p > 0.0 else zk), prefix + [p],
+                          remaining - p, k + 1)
+                    for p in points]
         return _integrate(outer, 0.0, remaining, rel_tol, budget)
 
     try:

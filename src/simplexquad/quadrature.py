@@ -402,11 +402,11 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
         )
         return IntegralEstimate(log_value, std_error, evaluations, spec.scheme)
 
-    def prior(p):
-        row = np.asarray(p, dtype=float)[None, :]
-        return float(np.exp(_checked_log_values(log_prior, row, 1)[0]))
+    def prior(rows):
+        points = np.array(rows, dtype=float)
+        return np.exp(_checked_log_values(log_prior, points, len(rows))).tolist()
 
-    return nested_oracle(m, prior, spec=spec, budget=limit)
+    return _oracle_estimate(m, prior, spec, limit)
 
 
 def integrate_separable(m, spec=None, budget=None):
@@ -436,24 +436,30 @@ def integrate_separable(m, spec=None, budget=None):
     return IntegralEstimate(_axis_log_sums(axis_logs), 0.0, evaluations, spec.scheme)
 
 
+def _oracle_estimate(m, prior, spec, limit):
+    # prior is the oracle module's batch callable, or None
+    value, evaluations = nested_simplex_integral(
+        m, prior, rel_tol=spec.rel_tol, max_evaluations=limit
+    )
+    log_value = math.log(value) if value > 0.0 else -math.inf
+    return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
+
+
 def nested_oracle(m, prior=None, spec=None, budget=None):
     """Brute-force reference integral of prod p_i^{m_i} * prior(p) in
     raw p coordinates, for n <= 5.
 
     prior is a scalar callable on the full probability vector, a list
-    of n floats, returning a nonnegative float; None means 1. See the
-    oracle module for the machinery; this wrapper only adds the
-    spec/budget plumbing and the log-form result, and is the one place
-    an oracle value becomes an IntegralEstimate (integrate_simplex_log's
-    oracle route ends here).
+    of n floats, returning a nonnegative float; None means 1. It is
+    called once per point, from the batch callable the oracle module
+    takes. See the oracle module for the machinery; this wrapper only
+    adds the spec/budget plumbing and the log-form result, which it
+    shares with integrate_simplex_log's oracle route.
     """
     if spec is None:
         spec = QuadratureSpec(scheme="nested_oracle")
     if spec.scheme != "nested_oracle":
         raise ValueError("spec.scheme must be 'nested_oracle'")
     limit = resolve_eval_budget(budget)
-    value, evaluations = nested_simplex_integral(
-        m, prior, rel_tol=spec.rel_tol, max_evaluations=limit
-    )
-    log_value = math.log(value) if value > 0.0 else -math.inf
-    return IntegralEstimate(log_value, 0.0, evaluations, spec.scheme)
+    batch = None if prior is None else (lambda rows: [prior(row) for row in rows])
+    return _oracle_estimate(m, batch, spec, limit)

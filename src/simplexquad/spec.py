@@ -5,7 +5,7 @@ report; quadrature re-exports them under the same names.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_EVAL_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "SIMPLEXQUAD_EVAL_BUDGET"
@@ -47,31 +47,32 @@ def _whole(what, value, least=None):
     return int(value)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Which scheme to run and its knobs.
+class QuadratureSpec(namedtuple(
+    "QuadratureSpec", ("scheme", "nodes_per_axis", "samples", "seed", "rel_tol"),
+    defaults=(32, 100_000, 0, 1e-10),
+)):
+    """Which scheme to run and its knobs, immutable.
 
     Only the fields of the chosen scheme matter: nodes_per_axis for
     gauss_grid, samples and seed for monte_carlo, rel_tol for
-    nested_oracle. The rest are ignored.
+    nested_oracle. The rest are ignored. The defaults are in
+    QuadratureSpec._field_defaults.
     """
 
-    scheme: str
-    nodes_per_axis: int = 32
-    samples: int = 100_000
-    seed: int = 0
-    rel_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.scheme not in _SCHEMES:
             raise ValueError(
-                f"scheme must be one of {_SCHEMES}, got {self.scheme!r}"
+                f"scheme must be one of {_SCHEMES}, got {spec.scheme!r}"
             )
-        if self.scheme == "gauss_grid":
-            nodes = _whole("nodes_per_axis", self.nodes_per_axis, 2)
-            object.__setattr__(self, "nodes_per_axis", nodes)
-        if self.scheme == "monte_carlo":
-            object.__setattr__(self, "samples", _whole("samples", self.samples, 1))
-            object.__setattr__(self, "seed", _whole("seed", self.seed))
-        if self.scheme == "nested_oracle" and not self.rel_tol > 0.0:
+        if spec.scheme == "gauss_grid":
+            nodes = _whole("nodes_per_axis", spec.nodes_per_axis, 2)
+            return spec._replace(nodes_per_axis=nodes)
+        if spec.scheme == "monte_carlo":
+            return spec._replace(samples=_whole("samples", spec.samples, 1),
+                                 seed=_whole("seed", spec.seed))
+        if not spec.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
+        return spec

@@ -386,6 +386,47 @@ class TestIntegrateCommand:
         assert result.returncode == 2
 
 
+# integrate --scheme oracle reports, frozen from a verified run that
+# evaluated the prior one point at a time; wall_time_s is masked
+_EXP_PRIOR = "exp(-2*p1)*(1+p2^2)"
+_FROZEN_ORACLE_REPORTS = [
+    (("--counts", "1,1,1,1"), {
+        "format_version": 1, "command": "integrate",
+        "inputs": {"counts": [1.0, 1.0, 1.0, 1.0], "nodes": 32, "tol": 1e-10,
+                   "eval_budget": 100000000, "prior": _EXP_PRIOR,
+                   "scheme": "nested_oracle", "samples": 100000, "seed": 0,
+                   "moment": None},
+        "results": {"log_value": -8.899104719303047,
+                    "value": 0.000136511087531224, "std_error": 0.0,
+                    "scheme": "nested_oracle"},
+        "diagnostics": {"evaluations": 10845, "wall_time_s": None},
+    }),
+    (("--counts", "2,1,1", "--moment", "1"), {
+        "format_version": 1, "command": "integrate",
+        "inputs": {"counts": [2.0, 1.0, 1.0], "nodes": 32, "tol": 1e-10,
+                   "eval_budget": 100000000, "prior": _EXP_PRIOR,
+                   "scheme": "nested_oracle", "samples": 100000, "seed": 0,
+                   "moment": [1]},
+        "results": {"log_value": -6.563692105407424,
+                    "value": 0.0014106677496172964, "std_error": 0.0,
+                    "scheme": "nested_oracle",
+                    "moment": {"index": [1], "value": 0.36107479696318534,
+                               "log_numerator": -7.582362253714514}},
+        "diagnostics": {"evaluations": 1440, "wall_time_s": None},
+    }),
+]
+
+
+@pytest.mark.parametrize("args, expected", _FROZEN_ORACLE_REPORTS,
+                         ids=["1,1,1,1", "2,1,1 --moment 1"])
+def test_oracle_reports_with_a_prior_are_frozen(args, expected):
+    report = report_of(run_cli("integrate", *args, "--scheme", "oracle",
+                               "--prior", _EXP_PRIOR, "--tol", "1e-10"))
+    assert report["diagnostics"]["wall_time_s"] >= 0.0
+    report["diagnostics"]["wall_time_s"] = None
+    assert report == expected
+
+
 class TestEvalBudgetEnvironment:
     def test_budget_exceeded_exits_3(self):
         # a prior that reads p3 couples both angles: 32^2 points
@@ -478,6 +519,26 @@ class TestCompareCommand:
         oracle = report["diagnostics"]["evaluations"] - 3 * 64 - 64 ** 3
         # the oracle spends its evaluations 15 at a time
         assert limit - 15 < oracle <= limit
+        # frozen: the oracle spent 1,999,995, the last whole pass that fit
+        assert report["diagnostics"]["evaluations"] == 2_262_331
+
+    def test_an_oracle_that_underflows_is_skipped(self):
+        # the integral is exp(-961.4), zero in the oracle's linear
+        # doubles; the log-domain routes still hold it, and the 32-node
+        # separable route misses it by ~30%, so the exit code is 4
+        result = run_cli("compare", "--counts", "400,300,200")
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == ""
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
+        results = report["results"]
+        assert results["log_oracle"] is None
+        assert results["oracle_note"].startswith("skipped: ")
+        assert "underflow" in results["oracle_note"]
+        assert "exact_vs_oracle" not in results["deviations"]
+        assert results["log_exact"] == pytest.approx(-961.4451, abs=1e-3)
+        assert 0.2 < results["max_relative_deviation"] < 0.4
+        # 2 separable axes and 32^2 grid points, plus the oracle's spend
+        assert report["diagnostics"]["evaluations"] == 2 * 32 + 32 ** 2 + 240
 
     def test_plain_output_is_the_single_deviation_number(self):
         result = run_cli("compare", "--counts", "1,1,1", "--plain")

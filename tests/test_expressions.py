@@ -231,6 +231,18 @@ class TestEvaluation:
         for i in range(points.shape[0]):
             assert batch[i] == evaluate(expr, points[i])
 
+    def test_batch_of_exp_and_power_matches_scalar_bitwise(self):
+        # the oracle's core route evaluates a prior 15 points to a call;
+        # a point's value must not depend on the batch it comes in
+        rng = np.random.default_rng(9)
+        raw = rng.uniform(0.0, 1.0, (15, 4))
+        points = raw / raw.sum(axis=1, keepdims=True)
+        expr = parse("exp(-2*p1)*(1+p2^2) + p3^2.5 * exp(p4)")
+        batch = evaluate_batch(expr, points)
+        for i in range(points.shape[0]):
+            assert batch[i] == evaluate(expr, points[i])
+            assert batch[i] == evaluate_batch(expr, points[i:i + 1])[0]
+
     def test_point_must_cover_the_variables(self):
         expr = parse("p3")
         with pytest.raises(EvaluationError, match="p3"):

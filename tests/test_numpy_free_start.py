@@ -1,5 +1,5 @@
-"""The closed forms start without numpy, and the numerical names still
-trace.
+"""The closed forms start without numpy or dataclasses, and the
+numerical names still trace.
 
 Each test runs in a fresh interpreter, because this process has long
 imported numpy. The package resolves its names on first access and the
@@ -46,6 +46,7 @@ def step(name, action):
         except SystemExit as exc:
             code = exc.code
     steps.append({"step": name, "code": code, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
                   "stdout": out.getvalue(), "stderr": err.getvalue()})
 
 step("import simplexquad", lambda: __import__("simplexquad") and 0)
@@ -66,6 +67,9 @@ def test_closed_forms_and_input_errors_leave_numpy_unloaded():
     for name in ("import simplexquad", "import simplexquad.cli", "moments",
                  "moments --moment", "moments --help", "malformed --counts"):
         assert not steps[name]["numpy"], name
+        # nor dataclasses, which would pull in inspect, ast, dis and
+        # tokenize on every start
+        assert not steps[name]["dataclasses"], name
     assert steps["moments"]["code"] == 0
     assert json.loads(steps["moments"]["stdout"])["results"]["mean"] == [
         0.5, 1 / 6, 1 / 3]

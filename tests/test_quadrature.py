@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import simplexquad
-from simplexquad import quadrature
+from simplexquad import oracle, quadrature
 from simplexquad import (
     BUDGET_ENV_VAR,
     DEFAULT_EVAL_BUDGET,
@@ -696,6 +696,88 @@ class TestNestedOracleRoute:
         est = integrate_simplex_log(m, lambda p: np.log(p[:, 0]), spec)
         assert est.scheme == "nested_oracle"
         assert log_rel_gap(est.log_value, log_norm_integral(shifted)) <= 1e-9
+
+
+def _exp_prior(p):
+    return math.exp(-2.0 * p[0]) * (1.0 + p[1] ** 2)
+
+
+class TestBatchedOraclePasses:
+    """Each Kronrod pass hands its integrand all 15 points at once. The
+    frozen values below were captured from a verified run that
+    evaluated the points one at a time; the batches must keep every
+    bit and every budget charge."""
+
+    @pytest.mark.parametrize("m, value, evaluations", [
+        ([2, 3], "0x1.1111111111111p-6", 15),
+        ([1, 3, 0, 2, 0], "0x1.bbd779334ef0ap-19", 54240),
+        ([0.5, 1.5, 2.5], "0x1.123e0831f67fap-9", 933240),
+        ([3, 5, 3, 0], "0x1.a9a9909fb036cp-25", 3615),
+    ], ids=str)
+    def test_raw_oracle_values_are_frozen(self, m, value, evaluations):
+        got = oracle.nested_simplex_integral(m)
+        assert got == (float.fromhex(value), evaluations)
+
+    @pytest.mark.parametrize("m, value, evaluations", [
+        ([2, 3], "0x1.5e7f0309f9a50p-7", 45),
+        ([1, 3, 0, 2, 0], "0x1.6e19727421359p-19", 162720),
+    ], ids=str)
+    def test_raw_oracle_values_with_a_prior_are_frozen(self, m, value,
+                                                       evaluations):
+        def prior(rows):
+            return [_exp_prior(row) for row in rows]
+
+        got = oracle.nested_simplex_integral(m, prior, rel_tol=1e-9)
+        assert got == (float.fromhex(value), evaluations)
+        # the scalar prior of the public wrapper gives the same bits
+        spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-9)
+        est = nested_oracle(m, _exp_prior, spec=spec)
+        assert (est.log_value, est.evaluations) == (
+            math.log(float.fromhex(value)), evaluations)
+
+    def test_the_gauss_kronrod_pass_gets_one_batch(self):
+        batches = []
+
+        def f(points):
+            batches.append(list(points))
+            return [x * x for x in points]
+
+        budget = oracle._Budget(100)
+        value, _ = oracle.gauss_kronrod(f, 0.0, 2.0, budget)
+        assert value == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert budget.remaining == 85
+        (points,) = batches
+        # the center, then the symmetric pairs from the outermost in
+        assert points[0] == 1.0
+        offsets = [points[2 * i + 2] - 1.0 for i in range(7)]
+        assert offsets == sorted(offsets, reverse=True)
+        assert all(points[2 * i + 1] < 1.0 < points[2 * i + 2] for i in range(7))
+
+    # (counts, log value, evaluations, prior rows) of the exp prior on
+    # the core's route, frozen from the one-row-per-call run: the same
+    # points reach the prior, 15 to a call. At n > 2 the evaluations
+    # also count the outer levels' passes, which call no prior.
+    @pytest.mark.parametrize("m, log_value, evaluations, rows", [
+        ([2, 3], "-0x1.226c44058506fp+2", 45, 45),
+        ([2, 1, 1], "-0x1.a413880d6f3fdp+2", 720, 675),
+        ([1, 1, 1, 1], "-0x1.1cc57742a2bf4p+3", 10845, 10125),
+    ], ids=str)
+    def test_core_route_calls_the_prior_once_per_pass(self, m, log_value,
+                                                      evaluations, rows):
+        shapes = []
+
+        def log_prior(points):
+            shapes.append(points.shape)
+            return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
+
+        spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-10)
+        est = integrate_simplex_log(np.array(m, float), log_prior, spec)
+        assert (est.log_value, est.evaluations) == (
+            float.fromhex(log_value), evaluations)
+        assert set(shapes) == {(15, len(m))}
+        assert 15 * len(shapes) == rows
+        if len(m) == 2:
+            assert 15 * len(shapes) == est.evaluations
 
 
 class TestMonteCarlo:
