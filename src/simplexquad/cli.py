@@ -203,6 +203,8 @@ def _read_counts_file(path):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
+        if not all(piece.strip() for piece in body.split(",")):
+            raise _InputError(f"empty count in {path}: {line!r}")
         for piece in body.replace(",", " ").split():
             try:
                 values.append(float(piece))

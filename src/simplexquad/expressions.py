@@ -52,7 +52,25 @@ MAX_NODES = 10_000
 # are parsed iteratively and only bounded by MAX_NODES
 _MAX_DEPTH = 200
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1, "pow": 2}
+# the binary operators, read by the parser, the evaluator and the
+# printer: token -> tree node -> ufunc; _PRECEDENCE orders the levels,
+# loosest first
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_TIGHTEST = max(_PRECEDENCE[kind] for kind in _BINARY.values())
+_ATOM_PRECEDENCE = 5
+_OP_TEXT = {**{kind: f" {token} " for token, kind in _BINARY.items()}, "pow": "^"}
+
+# one row per one-argument function: its ufunc, the arguments it
+# rejects and the message; pow(x, y) is the '^' node
+_CALLS = {
+    "exp": (np.exp, None, None),
+    "log": (np.log, lambda x: x <= 0.0, "log of a non-positive value"),
+    "sqrt": (np.sqrt, lambda x: x < 0.0, "sqrt of a negative value"),
+    "abs": (np.abs, None, None),
+}
+_FUNCTIONS = {**dict.fromkeys(_CALLS, 1), "pow": 2}
 
 _TOKEN_RE = re.compile(
     r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -105,10 +123,9 @@ def _tokenize(source):
 
 
 class _Parser:
-    def __init__(self, tokens, max_nodes):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.max_nodes = max_nodes
         self.nodes = 0
         self.depth = 0
         self.max_index = 0
@@ -131,64 +148,43 @@ class _Parser:
 
     def make(self, node, column):
         self.nodes += 1
-        if self.nodes > self.max_nodes:
+        if self.nodes > MAX_NODES:
             raise ExpressionSyntaxError(
-                f"expression exceeds the limit of {self.max_nodes} nodes",
+                f"expression exceeds the limit of {MAX_NODES} nodes",
                 column,
             )
         return node
 
-    def enter(self, column):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ExpressionSyntaxError(
-                f"expression nesting exceeds depth {_MAX_DEPTH}", column
-            )
-
-    def leave(self):
-        self.depth -= 1
-
-    def parse_expression(self):
-        node = self.parse_term()
+    def parse_expression(self, level=1):
+        # one left-associative loop per binary level, loosest first; the
+        # operands of the tightest level are factors
+        node = op = None
         while True:
-            kind, text, col = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.parse_term()
-                node = self.make(
-                    ("add" if text == "+" else "sub", node, right), col
-                )
-            else:
-                break
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, text, col = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.parse_factor()
-                node = self.make(
-                    ("mul" if text == "*" else "div", node, right), col
-                )
-            else:
-                break
-        return node
+            operand = (self.parse_factor() if level == _TIGHTEST
+                       else self.parse_expression(level + 1))
+            node = operand if op is None else self.make((op, node, operand), col)
+            _, text, col = self.peek()
+            op = _BINARY.get(text)
+            if op is None or _PRECEDENCE[op] != level:
+                return node
+            self.advance()
 
     def parse_factor(self):
         # every genuinely nesting construct (parenthesized group, call
         # argument, power chain) re-enters here exactly once per level,
         # so counting depth at this single point measures real nesting
         _, _, col = self.peek()
-        self.enter(col)
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nesting exceeds depth {_MAX_DEPTH}", col
+            )
         node = self.parse_unary()
-        kind, text, col = self.peek()
-        if kind == "op" and text == "^":
+        _, text, col = self.peek()
+        if text == "^":
             self.advance()
-            right = self.parse_factor()
-            node = self.make(("pow", node, right), col)
-        self.leave()
+            node = self.make(("pow", node, self.parse_factor()), col)
+        self.depth -= 1
         return node
 
     def parse_unary(self):
@@ -274,15 +270,16 @@ class _Parser:
         )
 
 
-def parse(source, max_nodes=MAX_NODES):
+def parse(source):
     """Parse an expression into a PriorExpression, or raise
-    ExpressionSyntaxError with a 1-based column position."""
+    ExpressionSyntaxError with a 1-based column position. A tree may
+    have at most MAX_NODES nodes."""
     if not isinstance(source, str):
         raise TypeError("expression source must be a string")
     tokens = _tokenize(source)
     if tokens[0][0] == "end":
         raise ExpressionSyntaxError("empty expression", 1)
-    parser = _Parser(tokens, max_nodes)
+    parser = _Parser(tokens)
     # the descent burns a handful of interpreter frames per nesting
     # level, so give it headroom up to _MAX_DEPTH before its own guard
     # takes over from the interpreter's
@@ -309,21 +306,18 @@ def parse(source, max_nodes=MAX_NODES):
 
 
 def _children(node):
-    op = node[0]
-    if op in ("num", "var"):
+    kind = node[0]
+    if kind in ("num", "var"):
         return ()
-    if op == "neg":
-        return (node[1],)
-    if op == "call":
-        return (node[2],)
-    return (node[1], node[2])
+    return node[2:] if kind == "call" else node[1:]
 
 
 def _fold(root, fn):
     # iterative post-order walk: deep flat chains (a + a + ...) would
-    # blow the recursion limit long before the node limit
+    # blow the recursion limit long before the node limit. Children are
+    # walked last to first, so a node's first child's value is on top.
     stack = [(root, False)]
-    results = {}
+    values = []
     while stack:
         node, expanded = stack.pop()
         kids = _children(node)
@@ -331,9 +325,9 @@ def _fold(root, fn):
             stack.append((node, True))
             stack.extend((kid, False) for kid in kids)
             continue
-        values = tuple(results.pop(id(kid)) for kid in kids)
-        results[id(node)] = fn(node, values)
-    return results.pop(id(root))
+        args = tuple(values.pop() for _ in kids)
+        values.append(fn(node, args))
+    return values.pop()
 
 
 def _require_finite(values):
@@ -345,19 +339,11 @@ def _require_finite(values):
 
 
 def _apply_call(name, arg):
-    if name == "exp":
-        return _require_finite(np.exp(arg))
-    if name == "log":
-        if np.any(arg <= 0.0):
-            raise EvaluationError("log of a non-positive value")
-        return np.log(arg)
-    if name == "sqrt":
-        if np.any(arg < 0.0):
-            raise EvaluationError("sqrt of a negative value")
-        return np.sqrt(arg)
-    if name == "abs":
-        return np.abs(arg)
-    raise AssertionError(name)
+    ufunc, rejects, message = _CALLS[name]
+    if rejects is not None and np.any(rejects(arg)):
+        raise EvaluationError(message)
+    out = ufunc(arg)
+    return _require_finite(out) if name == "exp" else out
 
 
 def _apply_pow(base, exponent):
@@ -384,21 +370,10 @@ def _apply(node, values, points):
     if op == "call":
         return _apply_call(node[1], values[0])
     if op == "pow":
-        return _apply_pow(values[0], values[1])
-    left, right = values
-    if op == "add":
-        out = left + right
-    elif op == "sub":
-        out = left - right
-    elif op == "mul":
-        out = left * right
-    elif op == "div":
-        if np.any(right == 0.0):
-            raise EvaluationError("division by zero")
-        out = left / right
-    else:
-        raise AssertionError(node)
-    return _require_finite(out)
+        return _apply_pow(*values)
+    if op == "div" and np.any(values[1] == 0.0):
+        raise EvaluationError("division by zero")
+    return _require_finite(_UFUNCS[op](*values))
 
 
 def _evaluate_array(expr, points):
@@ -438,11 +413,6 @@ def evaluate_batch(expr, points):
     return _evaluate_array(expr, points)
 
 
-_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-_ATOM_PRECEDENCE = 5
-_OP_TEXT = {"add": " + ", "sub": " - ", "mul": " * ", "div": " / "}
-
-
 def _prec(node):
     return _PRECEDENCE.get(node[0], _ATOM_PRECEDENCE)
 
@@ -464,16 +434,15 @@ def format_expression(expr):
         if op == "call":
             return f"{node[1]}({values[0]})"
         if op == "neg":
-            if node[1][0] in ("num", "var", "call"):
+            if _prec(node[1]) == _ATOM_PRECEDENCE:
                 return f"-{values[0]}"
             return f"-({values[0]})"
-        if op == "pow":
-            left = f"({values[0]})" if _prec(node[1]) <= _PRECEDENCE["pow"] else values[0]
-            right = f"({values[1]})" if _prec(node[2]) < _PRECEDENCE["pow"] else values[1]
-            return f"{left}^{right}"
+        # '^' groups to the right, the other operators to the left: an
+        # equal-precedence operand is parenthesized on the other side
         own = _PRECEDENCE[op]
-        left = f"({values[0]})" if _prec(node[1]) < own else values[0]
-        right = f"({values[1]})" if _prec(node[2]) <= own else values[1]
+        right_assoc = op == "pow"
+        left = f"({values[0]})" if _prec(node[1]) < own + right_assoc else values[0]
+        right = f"({values[1]})" if _prec(node[2]) < own + (not right_assoc) else values[1]
         return f"{left}{_OP_TEXT[op]}{right}"
 
     return _fold(ast, fmt)

@@ -180,8 +180,10 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
         raise ValueError(
             f"nested integration is practical only for 2 <= n <= 5, got n={n}"
         )
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(
+            f"rel_tol must be positive and finite, got {rel_tol!r}"
+        )
 
     budget = _Budget(max_evaluations)
     # p^m_i is p ** m_i for p > 0; a base of 0 gives zero[i], so that

@@ -177,9 +177,7 @@ def gauss_legendre(count):
     eigenvalue machinery), converged to a 1e-15 step size. Results are
     cached and returned as read-only arrays in ascending node order.
     """
-    if count < 2:
-        raise ValueError("a Gauss-Legendre rule needs at least 2 nodes")
-    return _gauss_legendre_cached(int(count))
+    return _gauss_legendre_cached(_whole("count", count, 2))
 
 
 # Target accuracy eps of the Kosloff-Tal-Ezer map below: it sets

@@ -4,6 +4,7 @@ The command line reads these on every call, for its defaults and the
 report; quadrature re-exports them under the same names.
 """
 
+import math
 import os
 from collections import namedtuple
 
@@ -73,6 +74,8 @@ class QuadratureSpec(namedtuple(
         if spec.scheme == "monte_carlo":
             return spec._replace(samples=_whole("samples", spec.samples, 1),
                                  seed=_whole("seed", spec.seed))
-        if not spec.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < spec.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be positive and finite, got {spec.rel_tol!r}"
+            )
         return spec

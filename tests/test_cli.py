@@ -198,9 +198,18 @@ class TestCountsFile:
 
     def test_several_values_per_line(self, tmp_path):
         path = tmp_path / "counts.txt"
-        path.write_text("2 0\n1\n")
+        path.write_text("2 0\n1, 3\n")
         report = report_of(run_cli("moments", "--counts-file", str(path)))
-        assert report["inputs"]["counts"] == [2.0, 0.0, 1.0]
+        assert report["inputs"]["counts"] == [2.0, 0.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("line", ["3,,4", "3,4,", ",3", "3, ,4"])
+    def test_empty_value_beside_a_comma_exits_2(self, tmp_path, line):
+        path = tmp_path / "counts.txt"
+        path.write_text(f"1\n{line}\n")
+        result = run_cli("moments", "--counts-file", str(path))
+        assert result.returncode == 2
+        assert "empty count" in result.stderr
+        assert str(path) in result.stderr
 
     def test_missing_file_exits_2(self):
         result = run_cli("moments", "--counts-file", "/no/such/file.txt")

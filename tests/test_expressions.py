@@ -19,6 +19,7 @@ from simplexquad import (
     format_expression,
     parse,
 )
+from simplexquad import expressions
 from simplexquad.expressions import MAX_NODES, PriorExpression
 
 POINT = np.array([0.25, 0.16, 0.59])
@@ -170,10 +171,11 @@ class TestLimits:
         levels = 150
         assert ev("(" * levels + "1" + ")" * levels) == 1.0
 
-    def test_custom_node_budget(self):
-        with pytest.raises(ExpressionSyntaxError, match="limit of 5"):
-            parse("1+1+1+1", max_nodes=5)
+    def test_custom_node_budget(self, monkeypatch):
         assert MAX_NODES == 10_000
+        monkeypatch.setattr(expressions, "MAX_NODES", 5)
+        with pytest.raises(ExpressionSyntaxError, match="limit of 5"):
+            parse("1+1+1+1")
 
 
 class TestEvaluation:
@@ -255,6 +257,15 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate_batch(expr, np.ones(2))
 
+    def test_operands_are_checked_last_to_first(self):
+        with pytest.raises(EvaluationError, match="sqrt"):
+            ev("log(-1) + sqrt(-1)")
+
+    def test_shared_subtrees_evaluate_once_per_use(self):
+        leaf = ("var", 1)
+        expr = PriorExpression("p1 + p1", ("add", leaf, leaf), 1, 3)
+        assert evaluate_batch(expr, np.array([[0.25, 0.75]]))[0] == 0.5
+
     def test_only_parsed_expressions_are_accepted(self):
         with pytest.raises(TypeError):
             evaluate("p1", POINT)
@@ -297,6 +308,11 @@ class TestFormatting:
 
     def test_raw_tree_input_is_accepted(self):
         assert format_expression(parse("p1 + 1").ast) == "p1 + 1.0"
+
+    def test_shared_subtrees_print_once_per_use(self):
+        leaf = ("var", 1)
+        assert format_expression(("add", leaf, leaf)) == "p1 + p1"
+        assert format_expression(("pow", leaf, leaf)) == "p1^p1"
 
     def test_parsed_expression_records_its_source(self):
         expr = parse(" p1+ 1")

@@ -138,6 +138,11 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(1)
 
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(ValueError, match="integer"):
+            gauss_legendre(2.5)
+        assert gauss_legendre(3.0)[0] is gauss_legendre(3)[0]
+
 
 class TestSpecsAndEstimates:
     def test_scheme_names_are_validated(self):
@@ -151,8 +156,9 @@ class TestSpecsAndEstimates:
             QuadratureSpec(scheme="monte_carlo", samples=0)
         with pytest.raises(ValueError):
             QuadratureSpec(scheme="monte_carlo", seed=0.5)
-        with pytest.raises(ValueError):
-            QuadratureSpec(scheme="nested_oracle", rel_tol=0.0)
+        for rel_tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QuadratureSpec(scheme="nested_oracle", rel_tol=rel_tol)
         # counts must be whole numbers, not just large enough
         with pytest.raises(ValueError):
             QuadratureSpec(scheme="gauss_grid", nodes_per_axis=8.5)
@@ -665,6 +671,15 @@ class TestNestedOracleRoute:
     def test_bin_count_is_capped_at_five(self):
         with pytest.raises(ValueError):
             nested_oracle(np.ones(6))
+
+    def test_oracle_rejects_tolerances_that_are_not_positive_finite(self):
+        # a NaN tolerance never converges and an infinite one accepts the
+        # first pass; the small budget keeps a missing check fast
+        for rel_tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rel_tol"):
+                oracle.nested_simplex_integral(
+                    [1.0, 1.0], rel_tol=rel_tol, max_evaluations=10_000
+                )
 
     def test_zero_integrand_comes_back_as_log_zero(self):
         est = nested_oracle(np.zeros(2), lambda p: 0.0)
