@@ -364,7 +364,7 @@ def _apply(node, values, points):
     if op == "num":
         return np.full(points.shape[0], node[1])
     if op == "var":
-        return points[:, node[1] - 1]
+        return _require_finite(points[:, node[1] - 1])
     if op == "neg":
         return -values[0]
     if op == "call":

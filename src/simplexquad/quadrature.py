@@ -34,10 +34,13 @@ monte_carlo
     fixed seed: samples come in batches of 2^16 from a counter-based
     Philox generator keyed (seed, batch_index), and the reduction
     always runs in batch order, so any future parallel split over
-    batches reproduces the serial result bit for bit. A batch's points
-    and log-Jacobian come from one range check and one sin/cos pass
-    (spherical._map_and_log_jacobian), in place, equal bit for bit to
-    angles_to_simplex and log_jacobian.
+    batches reproduces the serial result bit for bit. A batch is laid
+    out one angle per row, in arrays allocated once per call: the map,
+    the log-Jacobian and the power term are passes over whole rows
+    (spherical._map_rows), and their sums over angles and bins keep
+    np.sum's pairwise order, so they equal angles_to_simplex,
+    log_jacobian and power_log_integrand bit for bit. The prior gets
+    the points one per row, like the other schemes.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
@@ -68,7 +71,8 @@ from .spec import (
 )
 from .spherical import (
     HALF_PI,
-    _map_and_log_jacobian,
+    _log_power_rows,
+    _map_rows,
     _xlogy,
     # not called here; perfbench/tracer.py wraps both names in this
     # module
@@ -217,7 +221,8 @@ class _LogSumAccumulator:
     """Streaming log-sum-exp with a running max shift.
 
     Chunks are added in a fixed order and reduced with plain numpy
-    sums, so results are bit-stable from run to run.
+    sums, so results are bit-stable from run to run. add shifts and
+    exponentiates a chunk in place: the caller's array is overwritten.
     """
 
     __slots__ = ("shift", "total")
@@ -234,7 +239,8 @@ class _LogSumAccumulator:
             if self.total:
                 self.total *= math.exp(self.shift - peak)
             self.shift = peak
-        self.total += float(np.sum(np.exp(log_values - self.shift)))
+        np.subtract(log_values, self.shift, out=log_values)
+        self.total += float(np.sum(np.exp(log_values, out=log_values)))
 
     @property
     def log_sum(self):
@@ -321,13 +327,13 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
 def _monte_carlo(m, log_prior, samples, seed, budget):
     _check_budget(f"monte_carlo with {samples} samples", samples, budget)
     n = m.size
-    log_cube = (n - 1) * math.log(HALF_PI)
-    power = power_log_integrand(m)
-
-    def log_f(points):
-        # the power term plus the checked prior, per sampled point
-        prior = _checked_log_values(log_prior, points, points.shape[0])
-        return power(points) + prior
+    d = n - 1
+    log_cube = d * math.log(HALF_PI)
+    # one set of arrays for every batch: each is flat, so a batch of
+    # any size, the short last one too, is whole contiguous rows
+    size = min(samples, _MC_BATCH)
+    draws, work, points = np.empty(n * size), np.empty(n * size), np.empty(n * size)
+    logs, squares = np.empty(size), np.empty(size)
 
     # two's-complement fold of the signed seed into the uint64 key word
     key_word = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -339,12 +345,26 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
         count = min(_MC_BATCH, samples - done)
         key = np.array([key_word, batch], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        th = rng.random((count, n - 1)) * HALF_PI
-        points, logs = _map_and_log_jacobian(th)
-        logs += log_cube
-        logs += _checked_log_values(log_f, points, count)
-        acc_mean.add(logs)
-        acc_square.add(2.0 * logs)
+        # drawn one point per row, the stream's order; then one angle
+        # per row, which every later step runs along
+        uniform = draws[: d * count].reshape(count, d)
+        rng.random(out=uniform)
+        theta = work[: d * count].reshape(d, count)
+        np.multiply(uniform.T, HALF_PI, out=theta)
+        by_bin = points[: n * count].reshape(n, count)
+        batch_logs = logs[:count]
+        _map_rows(theta, draws[: d * count].reshape(d, count), by_bin, batch_logs)
+        batch_logs += log_cube
+        # the prior gets one point per row, as the other schemes give it
+        by_point = draws[: n * count].reshape(count, n)
+        np.copyto(by_point, by_bin.T)
+        prior = _checked_log_values(log_prior, by_point, count)
+        power = _log_power_rows(m, by_bin, work[: n * count].reshape(n, count))
+        power += prior
+        batch_logs += power
+        batch_squares = np.multiply(2.0, batch_logs, out=squares[:count])
+        acc_mean.add(batch_logs)
+        acc_square.add(batch_squares)
         done += count
         batch += 1
 

@@ -20,11 +20,16 @@ K_j; see log_kernel. Each factor integrates to a Beta function on its
 own, which is what makes the closed-form moments possible.
 
 angles_to_simplex and log_jacobian accept batches: a leading axis of
-angle vectors is mapped elementwise. Both start from the same sines
-and cosines; _map_and_log_jacobian gives a batch both from one sin/cos
-pass, bit for bit as the two functions do. On a tensor grid the map
-and the kernels factor into per-axis terms; tensor_grid_blocks builds
-the grid's points and log weights from those, block by block.
+angle vectors is mapped elementwise. Both run on one core, _map_rows,
+which takes a batch laid out one angle per row and gives the points
+and the log-Jacobian from one sin/cos pass, each step a pass over
+whole contiguous rows. Its sums over the angles (and Monte Carlo's
+over the bins, _log_power_rows) go through _row_sum, which adds whole
+rows in the order numpy's np.sum(axis=-1) adds the terms of one point;
+that order is what keeps the values bit for bit those of the
+row-major formulas. On a tensor grid the map and the kernels factor
+into per-axis terms; tensor_grid_blocks builds the grid's points and
+log weights from those, block by block.
 """
 
 import math
@@ -52,32 +57,98 @@ def _check_angle_range(theta):
         raise ValueError("angles must lie in [0, pi/2]")
 
 
-def _check_angles(theta):
-    if theta.ndim < 1 or theta.shape[-1] < 1:
-        raise ValueError("an angle vector needs at least one component (n >= 2 bins)")
-    _check_angle_range(theta)
-
-
 def _xlogy(y, x):
     # y * log(x) with the 0 * log(0) = 0 convention: a zero exponent
     # removes the factor entirely, whatever the base. The one home of
-    # that rule; quadrature.power_log_integrand uses it too.
+    # that rule; quadrature.power_log_integrand uses it too, and
+    # _log_power_rows applies it one bin at a time.
     with np.errstate(divide="ignore", invalid="ignore"):
         out = y * np.log(x)
     return np.where(np.asarray(y) == 0.0, 0.0, out)
 
 
-def _fill_simplex(s, c, work):
-    # p_1 = c_1^2, p_j = s_1^2 ... s_{j-1}^2 c_j^2, p_n = s_1^2 ... s_{n-1}^2;
-    # squares s and c in place and takes the running product into work
-    np.square(s, out=s)
-    np.square(c, out=c)
-    np.cumprod(s, axis=-1, out=work)
-    out = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
-    out[..., 0] = c[..., 0]
-    np.multiply(work[..., :-1], c[..., 1:], out=out[..., 1:-1])
-    out[..., -1] = work[..., -1]
+def _log_power_rows(m, points, terms):
+    # m_j ln p_j, one row per bin of angle-major points (n, count), with
+    # the 0 * log(0) = 0 rule of _xlogy; returns each point's sum over
+    # the bins in np.sum's order, written into terms[0]
+    with np.errstate(divide="ignore"):
+        for mj, p, t in zip(m, points, terms):
+            if mj == 0.0:
+                t.fill(0.0)
+            else:
+                np.log(p, out=t)
+                t *= mj
+    return _row_sum(terms, terms[0])
+
+
+def _row_sum(terms, out):
+    # out[i] = sum_j terms[j, i] bit for bit as np.sum(terms.T, axis=-1)
+    # gives it, from whole contiguous rows. numpy reduces each row of
+    # the transpose with its pairwise_sum: below 8 terms one running
+    # sum from 0.0; up to 128, eight running sums over the whole blocks
+    # of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    # leftovers; above 128, the two halves split at a multiple of 8.
+    # The reduction starts from the identity 0.0, which only turns an
+    # all -0.0 sum into 0.0, so adding it anywhere in the chain gives
+    # the same bits. Overwrites terms; out may be terms[0].
+    k = len(terms)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _row_sum(terms[:half], out)
+        out += _row_sum(terms[half:], terms[half])
+        return out
+    if k < 8:
+        np.add(0.0, terms[0], out=out)
+        for row in terms[1:]:
+            out += row
+        return out
+    whole = k - k % 8
+    blocks = terms[:8]
+    blocks[0] += 0.0
+    for start in range(8, whole, 8):
+        blocks += terms[start:start + 8]
+    blocks[0::2] += blocks[1::2]
+    blocks[0::4] += blocks[2::4]
+    np.add(blocks[0], blocks[4], out=out)
+    for row in terms[whole:]:
+        out += row
     return out
+
+
+def _map_rows(theta, s, points, logs):
+    # The map and the log-Jacobian of a batch laid out one angle per
+    # row: theta (n-1, count) is checked and turned into cos^2, s
+    # (n-1, count) gets sin^2, points (n, count) gets p_1..p_n one bin
+    # per row and logs (count,) the log-Jacobian. Every step is a pass
+    # over whole rows; the row sums keep np.sum's order, so the values
+    # are those of the row-major formulas bit for bit.
+    _check_angle_range(theta)
+    d = len(theta)
+    np.sin(theta, out=s)
+    np.cos(theta, out=theta)
+    # sum over i of ln(2 s_i c_i) + 2(n-1-i) ln s_i, with the rows of
+    # points as scratch
+    work = points[:d]
+    np.multiply(2.0, s, out=work)
+    work *= theta
+    with np.errstate(divide="ignore"):
+        np.log(work, out=work)
+        _row_sum(work, logs)
+        if d > 1:
+            # sin t_i has exponent 2(n-1-i); leaving out the last
+            # angle's zero term avoids 0 * (-inf) at boundary angles
+            terms = work[:-1]
+            np.log(s[:-1], out=terms)
+            terms *= 2.0 * np.arange(d - 1, 0, -1, dtype=float)[:, None]
+            logs += _row_sum(terms, terms[0])
+    # p_1 = c_1^2, p_j = s_1^2 ... s_{j-1}^2 c_j^2, p_n = s_1^2 ... s_{n-1}^2
+    np.square(s, out=s)
+    np.square(theta, out=theta)
+    np.copyto(points[1], s[0])
+    for j in range(1, d):
+        np.multiply(points[j], s[j], out=points[j + 1])
+    points[1:-1] *= theta[1:]
+    np.copyto(points[0], theta[0])
 
 
 def angles_to_simplex(theta):
@@ -94,10 +165,7 @@ def angles_to_simplex(theta):
         Probability vectors; components are nonnegative and sum to 1
         up to roundoff (no renormalization is applied).
     """
-    theta = np.asarray(theta, dtype=float)
-    _check_angles(theta)
-    s, c = np.sin(theta), np.cos(theta)
-    return _fill_simplex(s, c, np.empty_like(s))
+    return _map_and_log_jacobian(theta)[0]
 
 
 def simplex_to_angles(p):
@@ -153,46 +221,28 @@ def log_jacobian(theta):
     Accepts a single angle vector (returns a float) or a batch with
     leading axes (returns an array of that leading shape).
     """
-    theta = np.asarray(theta, dtype=float)
-    _check_angles(theta)
-    s, c = np.sin(theta), np.cos(theta)
-    out = _diagonal_log_sum(s, c, np.empty_like(s))
+    out = _map_and_log_jacobian(theta)[1]
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _diagonal_log_sum(s, c, work):
-    # sum over i of ln(2 s_i c_i) + 2(n-1-i) ln s_i, row by row, from
-    # the sines and cosines of the angles; work is scratch of their shape
-    np.multiply(2.0, s, out=work)
-    work *= c
-    with np.errstate(divide="ignore"):
-        np.log(work, out=work)
-        out = np.sum(work, axis=-1)
-        k = s.shape[-1]
-        if k > 1:
-            # sin t_i has exponent 2(n-1-i); leaving out the last
-            # angle's zero term avoids 0 * (-inf) at boundary angles
-            terms = work[..., :-1]
-            np.log(s[..., :-1], out=terms)
-            terms *= 2.0 * np.arange(k - 1, 0, -1, dtype=float)
-            out = out + np.sum(terms, axis=-1)
-    return out
-
-
 def _map_and_log_jacobian(theta):
     """angles_to_simplex(theta) and log_jacobian(theta) of one batch,
-    bit for bit, from one range check and one sin/cos pass.
+    from one range check and one sin/cos pass.
 
-    The log-Jacobian is taken first, then the sines and cosines are
-    squared in place and the map's running product reuses its scratch.
+    The batch is copied to one contiguous row per angle, goes through
+    _map_rows, and its points come back one row per point.
     """
-    _check_angles(theta)
-    s, c = np.sin(theta), np.cos(theta)
-    work = np.empty_like(s)
-    logs = _diagonal_log_sum(s, c, work)
-    return _fill_simplex(s, c, work), logs
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim < 1 or theta.shape[-1] < 1:
+        raise ValueError("an angle vector needs at least one component (n >= 2 bins)")
+    lead, d = theta.shape[:-1], theta.shape[-1]
+    rows = np.array(theta.reshape(-1, d).T, order="C")
+    points = np.empty((d + 1, rows.shape[1]))
+    logs = np.empty(rows.shape[1])
+    _map_rows(rows, np.empty_like(rows), points, logs)
+    return np.ascontiguousarray(points.T).reshape(lead + (d + 1,)), logs.reshape(lead)
 
 
 def _map_columns(out, prod, columns, c2, s2):

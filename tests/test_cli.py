@@ -282,6 +282,10 @@ class TestIntegrateCommand:
         ((1, 0, 2, 1, 0, 1, 2, 0),
          ("-23.85324354645767", "4.371877175467944e-11",
           "3.0770779437546524e-12")),
+        # nine bins: eight Jacobian terms and nine power terms per point
+        ((1, 0, 2, 1, 0, 1, 2, 0, 3),
+         ("-33.13196088343804", "4.0829326275249006e-15",
+          "1.3601365435852145e-15")),
     ])
     def test_monte_carlo_frozen_regression_values_at_more_bins(self, counts,
                                                                frozen):

@@ -213,6 +213,18 @@ class TestEvaluation:
         with pytest.raises(EvaluationError, match="non-finite"):
             ev("1e308 * 10")
 
+    @pytest.mark.parametrize("source, point", [
+        ("p1", [math.nan, 0.5]),
+        ("abs(p1)", [math.inf, 0.5]),
+        ("abs(p2)", [0.5, -math.inf]),
+    ])
+    def test_a_non_finite_coordinate_is_an_error(self, source, point):
+        expr = parse(source)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            evaluate(expr, point)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            evaluate_batch(expr, np.array([[0.5, 0.5], point]))
+
     def test_underflow_to_zero_is_fine(self):
         assert ev("exp(0 - 1000)") == 0.0
 

@@ -858,6 +858,54 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak <= 24e6
 
+    # (log_value, std_error) captured from the row-major batch: n = 2
+    # sums one Jacobian term, n = 9 eight, n = 12 eleven and n = 140
+    # more than 128; 1000 samples is one short batch and 200,001 ends in
+    # one. At n = 140 one sample outweighs the rest and std_error
+    # rounds to 0.
+    @pytest.mark.parametrize("m, prior, samples, seed, log_value, std_error", [
+        ([-0.5, 0.0], False, 1000, 0,
+         "0x1.67a528ce25498p-1", "0x1.fda5eae1ab838p-6"),
+        ([1.5, 2.0], True, 200_001, 1,
+         "-0x1.bb7ece458b13cp+1", "0x1.3e9ac849c4338p-14"),
+        ([1, 0, 2, 1, 0, 1, 2, 0, 3], False, 200_001, 3,
+         "-0x1.090e44210c00fp+5", "0x1.8807dc71c9ab9p-50"),
+        ([0.5, -0.5, 0, 2, 1.5, 0, 3, 1, 0], True, 1000, 7,
+         "-0x1.a4fbc9ab6fca0p+4", "0x1.f6e34929c21dbp-39"),
+        ([-0.5, 0, 1.5, 2, 0, 0.5, 3, 1, 0, 2.5, 1, 0], True, 200_001, 11,
+         "-0x1.5e3db65707ddap+5", "0x1.646eb53c1d00bp-64"),
+        ([(i % 5) * 0.5 - 0.5 for i in range(140)], True, 20_000, 2,
+         "-0x1.74fa99254236dp+13", "0x0.0p+0"),
+        ([0.0] * 140, False, 1000, 4,
+         "-0x1.03762d472bc68p+13", "0x0.0p+0"),
+    ])
+    def test_frozen_values(self, m, prior, samples, seed, log_value, std_error):
+        def log_prior(points):
+            if prior:
+                return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
+            return np.zeros(points.shape[0])
+
+        spec = QuadratureSpec(scheme="monte_carlo", samples=samples, seed=seed)
+        est = integrate_simplex_log(np.array(m, dtype=float), log_prior, spec)
+        assert est.log_value == float.fromhex(log_value)
+        assert est.std_error == float.fromhex(std_error)
+        assert est.evaluations == samples
+
+    def test_the_prior_gets_one_point_per_row(self):
+        # the batch runs one angle per row; the prior still gets
+        # C-contiguous (count, n) points, the short last batch too
+        shapes = []
+
+        def log_prior(points):
+            assert points.flags.c_contiguous
+            np.testing.assert_allclose(points.sum(axis=1), 1.0, rtol=1e-14)
+            shapes.append(points.shape)
+            return np.zeros(points.shape[0])
+
+        spec = QuadratureSpec(scheme="monte_carlo", samples=200_001, seed=0)
+        integrate_simplex_log(np.ones(3), log_prior, spec)
+        assert shapes == [(65_536, 3)] * 3 + [(3393, 3)]
+
     def test_sample_count_over_budget_is_refused(self):
         m = np.array([1.0, 2.0])
         spec = QuadratureSpec(scheme="monte_carlo", samples=1000, seed=0)

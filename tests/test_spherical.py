@@ -5,6 +5,7 @@ Oracles: hand-evaluated trivial angles (where sines and cosines are
 Jacobian determinants, and mpmath for one non-trivial kernel value.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -17,7 +18,7 @@ from simplexquad import (
     log_kernel,
     simplex_to_angles,
 )
-from simplexquad.spherical import HALF_PI, _map_and_log_jacobian
+from simplexquad.spherical import HALF_PI, _map_and_log_jacobian, _row_sum
 
 mpmath.mp.dps = 50
 
@@ -189,6 +190,74 @@ class TestMapAndLogJacobian:
         assert np.array_equal(logs, log_jacobian(theta))
         assert logs[0] == -math.inf
         assert np.any(points[:4] == 0.0)
+
+
+    # angles_to_simplex and log_jacobian of the batch above, captured
+    # from the row-major implementation: sha256 prefixes of the points
+    # and of the log-Jacobian, and the log-Jacobian of the four boundary
+    # rows. n = 12 and 140 take the other two branches of the row sums.
+    @pytest.mark.parametrize("n, map_digest, jac_digest, boundary", [
+        (2, "8aadd918399468a5", "dbaecfe3a0326d8f",
+         ("-inf", "-0x1.251c137889f6dp+5", "-inf", "-0x1.bef79a005b453p-3")),
+        (3, "1caaa9b5fb9a8a11", "c341931805958122",
+         ("-inf", "-0x1.251c137889f6dp+6", "-inf", "-0x1.3432446852423p+5")),
+        (4, "56517a5fb718426a", "1d714faec71de7f6",
+         ("-inf", "-0x1.b7aa1d34cef24p+6", "-inf", "-0x1.2b906b461b1e5p+5")),
+        (5, "c300142fec18b1a5", "1a0efd78ecd2e602",
+         ("-inf", "-0x1.251c137889f6dp+7", "-inf", "-0x1.49ec6734cae56p+6")),
+        (6, "c30b22b92afa8822", "c70ee17dc677242e",
+         ("-inf", "-0x1.6e631856ac748p+7", "-inf", "-0x1.8635ae1868999p+6")),
+        (7, "58f2cd226c6165aa", "776cae64a5e2e983",
+         ("-inf", "-0x1.b7aa1d34cef23p+7", "-inf", "-0x1.0ebffd3fda87ep+7")),
+        (8, "a22250ca410bd839", "7bb4d6a43894e50e",
+         ("-inf", "-0x1.0078910978b7fp+8", "-inf", "-0x1.ce200354e0292p+6")),
+        (9, "d318f1a784a32f53", "b349a99102e4eaa3",
+         ("-inf", "-0x1.251c137889f6dp+8", "-inf", "-0x1.3e644e186c142p+7")),
+        (12, "3cf5840e5af53192", "478ec77cfdd77e79",
+         ("-inf", "-0x1.93069ac5bdb37p+8", "-inf", "-0x1.13adee2e6a0f0p+8")),
+        (140, "899cb026d91c3ab9", "885b05c51f206fa5",
+         ("-inf", "-0x1.3e4c7d24e5d21p+12", "-inf", "-0x1.5efbbe08f8f69p+13")),
+    ])
+    def test_public_functions_are_frozen(self, n, map_digest, jac_digest,
+                                         boundary):
+        rng = np.random.default_rng(100 + n)
+        theta = rng.uniform(0.0, HALF_PI, size=(257, n - 1))
+        theta[0] = 0.0
+        theta[1] = HALF_PI
+        theta[2, ::2] = 0.0
+        theta[3, 1::2] = HALF_PI
+        points = angles_to_simplex(theta)
+        logs = log_jacobian(theta)
+        assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == map_digest
+        assert hashlib.sha256(logs.tobytes()).hexdigest()[:16] == jac_digest
+        assert [float(x) for x in logs[:4]] == [float.fromhex(x) for x in boundary]
+        for row in range(4):
+            assert np.array_equal(angles_to_simplex(theta[row]), points[row])
+            assert log_jacobian(theta[row]) == logs[row]
+
+
+class TestRowSum:
+    def test_equals_numpys_row_sum_bitwise(self):
+        # numpy sums fewer than 8 terms in one run, up to 128 in eight
+        # interleaved runs and more by halving; magnitudes from 1e-30
+        # to 1e30 make any other order show in the last bits
+        count = 24
+        for k in range(1, 301):
+            rng = np.random.default_rng(k)
+            a = rng.standard_normal((count, k)) * 10.0 ** rng.integers(-30, 31, (count, k))
+            a[rng.random((count, k)) < 0.1] = 0.0
+            a[rng.random((count, k)) < 0.1] = -0.0
+            a[0] = -0.0
+            a[1] = -0.0
+            a[1, k // 2] = 0.0
+            a[2, k - 1] = -math.inf
+            a[3, 0] = -math.inf
+            expected = np.sum(a, axis=-1).view(np.int64)
+            got = _row_sum(a.T.copy(), np.empty(count))
+            assert np.array_equal(got.view(np.int64), expected), k
+            terms = a.T.copy()
+            got = _row_sum(terms, terms[0])
+            assert np.array_equal(got.view(np.int64), expected), k
 
 
 class TestLogKernel:
