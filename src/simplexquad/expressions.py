@@ -330,11 +330,9 @@ def _fold(root, fn):
     return values.pop()
 
 
-def _require_finite(values):
+def _require_finite(values, what="intermediate value (overflow or 0/0)"):
     if not np.all(np.isfinite(values)):
-        raise EvaluationError(
-            "non-finite intermediate value (overflow or 0/0)"
-        )
+        raise EvaluationError(f"non-finite {what}")
     return values
 
 
@@ -364,7 +362,9 @@ def _apply(node, values, points):
     if op == "num":
         return np.full(points.shape[0], node[1])
     if op == "var":
-        return _require_finite(points[:, node[1] - 1])
+        return _require_finite(
+            points[:, node[1] - 1], f"p{node[1]} at a point (NaN or infinity)"
+        )
     if op == "neg":
         return -values[0]
     if op == "call":

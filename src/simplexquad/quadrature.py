@@ -39,19 +39,19 @@ monte_carlo
     the log-Jacobian and the power term are passes over whole rows
     (spherical._map_rows), and their sums over angles and bins keep
     np.sum's pairwise order, so they equal angles_to_simplex,
-    log_jacobian and power_log_integrand bit for bit. The prior gets
-    the points one per row, like the other schemes.
+    log_jacobian and power_log_integrand bit for bit. A prior, if any,
+    gets the points one per row, like the other schemes.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
     schemes so it can serve as independent ground truth.
 
 Integrands come in one form, through one core (integrate_simplex_log):
-counts m and a log prior, for prod p_i^{m_i} exp(log_prior(p)). The
-grid folds the power into its axis factors, the oracle into its
-nesting, and Monte Carlo adds it per point. Sums accumulate in log
-space with a running max shift: products of many bin powers underflow
-linear doubles long before they stop mattering.
+counts m and a log prior, for prod p_i^{m_i} exp(log_prior(p)), or
+None for no prior. The grid folds the power into its axis factors,
+the oracle into its nesting, and Monte Carlo adds it per point. Sums
+accumulate in log space with a running max shift: products of many
+bin powers underflow linear doubles long before they stop mattering.
 """
 
 import math
@@ -304,13 +304,15 @@ def _axis_log_sums(axis_logs):
 
 def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
     d = m.size - 1
-    r = d if prior_bins is None else min(prior_bins, d)
-    total = nodes ** r + (d - r) * nodes
+    r = 0 if log_prior is None else d if prior_bins is None else min(prior_bins, d)
+    total = (0 if log_prior is None else nodes ** r) + (d - r) * nodes
     _check_budget(
         f"gauss_grid with {nodes} nodes on {r} tensor axes of {d}", total, budget
     )
     theta, axis_logs = _axis_factors(m, nodes)
     tail = _axis_log_sums(axis_logs[r:])
+    if log_prior is None:
+        return tail, total
     if r == 0:
         # the prior reads no bin: one point, all of its mass left over
         head = float(_checked_log_values(log_prior, np.ones((1, 1)), 1)[0])
@@ -355,12 +357,12 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
         batch_logs = logs[:count]
         _map_rows(theta, draws[: d * count].reshape(d, count), by_bin, batch_logs)
         batch_logs += log_cube
-        # the prior gets one point per row, as the other schemes give it
-        by_point = draws[: n * count].reshape(count, n)
-        np.copyto(by_point, by_bin.T)
-        prior = _checked_log_values(log_prior, by_point, count)
         power = _log_power_rows(m, by_bin, work[: n * count].reshape(n, count))
-        power += prior
+        if log_prior is not None:
+            # the prior gets one point per row, as the other schemes give it
+            by_point = draws[: n * count].reshape(count, n)
+            np.copyto(by_point, by_bin.T)
+            power += _checked_log_values(log_prior, by_point, count)
         batch_logs += power
         batch_squares = np.multiply(2.0, batch_logs, out=squares[:count])
         acc_mean.add(batch_logs)
@@ -387,21 +389,24 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
     """Integrate prod p_i^{m_i} exp(log_prior(p)) over the simplex.
 
     m holds the exponents (counts, each > -1), one per bin. log_prior
-    maps a (k, n) array of simplex points to k log values; -inf
-    encodes a zero. For a general f pass m = np.zeros(n) and
-    np.log(f(points)): a negative f then comes in as NaN and is
-    rejected. gauss_grid folds the power into its per-axis factors,
-    nested_oracle into its nesting, and monte_carlo adds it to
-    log_prior per point. This is the one integration core: every
-    scheme and the command line come through here, so the shape, NaN
-    and +inf checks on prior values hold on every route.
+    maps a (k, n) array of simplex points to k log values; -inf encodes
+    a zero. For a general f pass m = np.zeros(n) and np.log(f(points)):
+    a negative f then comes in as NaN and is rejected. log_prior None
+    means no prior: nothing is evaluated per point, each scheme gives a
+    zero prior's bits, and gauss_grid is n-1 one-axis sums, (n-1) k
+    evaluations for k nodes per axis (integrate_separable). gauss_grid
+    folds the power into its per-axis factors, nested_oracle into its
+    nesting, and monte_carlo adds it to log_prior per point. This is the
+    one integration core: every scheme and the command line come through
+    here, so the shape, NaN and +inf checks on prior values hold on
+    every route.
 
     prior_bins = r promises that log_prior reads only p_1..p_r; None
     means it may read every bin. gauss_grid then runs its tensor grid
     on the first r angles only, at k^r + (n-1-r) k evaluations for k
     nodes per axis, and hands log_prior points of shape (count, r+1):
     p_1..p_r and the mass left for the later bins. The other schemes
-    ignore it.
+    ignore it, as does gauss_grid with no prior.
     """
     m = np.asarray(as_exponent_vector(m))
     if not isinstance(spec, QuadratureSpec):
@@ -424,23 +429,20 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
         points = np.array(rows, dtype=float)
         return np.exp(_checked_log_values(log_prior, points, len(rows))).tolist()
 
-    return _oracle_estimate(m, prior, spec, limit)
+    return _oracle_estimate(m, None if log_prior is None else prior, spec, limit)
 
 
 def integrate_separable(m, spec=None, budget=None):
     """Integrate prod p_i^{m_i} as a product of n-1 one-axis integrals.
 
-    The transformed integrand separates into per-angle kernels K_j
-    (see spherical.log_kernel), so each axis is a single 1-D sum over
-    the per-axis factors gauss_grid combines into its tensor grid (the
-    same mapped Gauss-Legendre rule times K_j). Without a prior the
-    product telescopes to the value the full grid would give, at a
-    tiny fraction of the cost. Accuracy is therefore that of
-    gauss_grid: within 1e-12 for integer counts up to 10 at n <= 5 and
-    32 nodes, slower for real counts with end singularities.
+    The gauss_grid core with no prior: integrate_simplex_log(m, None,
+    spec, budget). The integrand separates into per-angle kernels K_j
+    (see spherical.log_kernel), so each axis is one 1-D sum, (n-1) k
+    evaluations for k nodes, and their product is the value the full
+    grid would give, at a tiny fraction of the cost. Accuracy is that
+    of gauss_grid: within 1e-12 for integer counts up to 10 at n <= 5
+    and 32 nodes, slower for real counts with end singularities.
     """
-    m = np.asarray(as_exponent_vector(m))
-    n = m.size
     if spec is None:
         spec = QuadratureSpec(scheme="gauss_grid")
     if spec.scheme != "gauss_grid":
@@ -448,10 +450,7 @@ def integrate_separable(m, spec=None, budget=None):
             "integrate_separable is a Gauss computation; spec.scheme must "
             "be 'gauss_grid'"
         )
-    evaluations = (n - 1) * spec.nodes_per_axis
-    _check_budget("integrate_separable", evaluations, resolve_eval_budget(budget))
-    _, axis_logs = _axis_factors(m, spec.nodes_per_axis)
-    return IntegralEstimate(_axis_log_sums(axis_logs), 0.0, evaluations, spec.scheme)
+    return integrate_simplex_log(m, None, spec, budget)
 
 
 def _oracle_estimate(m, prior, spec, limit):

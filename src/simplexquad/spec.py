@@ -72,8 +72,12 @@ class QuadratureSpec(namedtuple(
             nodes = _whole("nodes_per_axis", spec.nodes_per_axis, 2)
             return spec._replace(nodes_per_axis=nodes)
         if spec.scheme == "monte_carlo":
-            return spec._replace(samples=_whole("samples", spec.samples, 1),
+            spec = spec._replace(samples=_whole("samples", spec.samples, 1),
                                  seed=_whole("seed", spec.seed))
+            # one seed per value of the generator's 64-bit key word
+            if not -2**63 <= spec.seed < 2**63:
+                raise ValueError(f"seed must lie in [-2**63, 2**63), got {spec.seed}")
+            return spec
         if not 0.0 < spec.rel_tol < math.inf:
             raise ValueError(
                 f"rel_tol must be positive and finite, got {spec.rel_tol!r}"

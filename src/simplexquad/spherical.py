@@ -51,9 +51,11 @@ _LN2 = math.log(2.0)
 
 
 def _check_angle_range(theta):
-    if not np.all(np.isfinite(theta)):
+    # a NaN propagates through both; the 0.0 lets an empty array pass
+    low, high = np.min(theta, initial=0.0), np.max(theta, initial=0.0)
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("angles must be finite")
-    if np.any(theta < 0.0) or np.any(theta > HALF_PI):
+    if low < 0.0 or high > HALF_PI:
         raise ValueError("angles must lie in [0, pi/2]")
 
 

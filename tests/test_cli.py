@@ -231,9 +231,8 @@ class TestIntegrateCommand:
         assert report["results"]["scheme"] == "gauss_grid"
         assert report["results"]["std_error"] == 0.0
         assert report["inputs"]["prior"] == "1"
-        # the flat prior reads no bin: one prior point, then one 1-D
-        # sum per angle
-        assert report["diagnostics"]["evaluations"] == 1 + 2 * 32
+        # the flat prior is no prior: one 1-D sum per angle
+        assert report["diagnostics"]["evaluations"] == 2 * 32
 
     def test_two_bins_with_a_linear_prior(self):
         # counts (0,0) with prior p1 is the 1-D integral of p over [0,1]
@@ -300,6 +299,25 @@ class TestIntegrateCommand:
             sum(counts) + len(counts) - 1)
         assert abs(float(value) - exact) <= 5.0 * float(std_error)
 
+    @pytest.mark.parametrize("seed", [
+        "18446744073709551616", "9223372036854775808", "-9223372036854775809",
+    ])
+    def test_monte_carlo_seed_outside_the_key_word_exits_2(self, seed):
+        # 2**64 used to print exactly what --seed 0 prints
+        result = run_cli("integrate", "--counts", "1,2", "--scheme", "mc",
+                         "--samples", "5", "--seed", seed, "--plain")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "seed must lie in [-2**63, 2**63)" in result.stderr
+
+    def test_monte_carlo_seeds_at_the_ends_of_the_range_run(self):
+        outputs = {
+            run_cli("integrate", "--counts", "1,2", "--scheme", "mc",
+                    "--samples", "5", "--seed", seed, "--plain").stdout
+            for seed in ("-9223372036854775808", "9223372036854775807", "0")
+        }
+        assert len(outputs) == 3 and "" not in outputs
+
     def test_monte_carlo_is_reproducible_across_processes(self):
         args = ("integrate", "--counts", "1,2", "--scheme", "mc",
                 "--samples", "20000", "--seed", "123")
@@ -313,8 +331,8 @@ class TestIntegrateCommand:
                                    "--moment", "1"))
         block = report["results"]["moment"]
         assert block["value"] == pytest.approx(2.0 / 6.0, rel=1e-9)
-        # two integrals ran, each one prior point and two axis sums
-        assert report["diagnostics"]["evaluations"] == 2 * (1 + 2 * 32)
+        # two integrals ran, each two axis sums
+        assert report["diagnostics"]["evaluations"] == 2 * (2 * 32)
 
     def test_moment_flag_with_a_pair_of_indices(self):
         report = report_of(run_cli("integrate", "--counts", "1,1,1",
@@ -454,7 +472,7 @@ class TestEvalBudgetEnvironment:
             "integrate", "--counts", "1,1,1",
             env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "100"},
         ))
-        assert report["diagnostics"]["evaluations"] == 1 + 2 * 32
+        assert report["diagnostics"]["evaluations"] == 2 * 32
         assert report["results"]["value"] == pytest.approx(1 / 120, rel=1e-10)
 
     def test_budget_env_is_recorded_in_the_report(self):
@@ -487,6 +505,19 @@ class TestCompareCommand:
             "separable_vs_grid", "separable_vs_oracle", "grid_vs_oracle",
         }
         assert results["log_exact"] == pytest.approx(math.log(1 / 120), rel=1e-12)
+
+    @pytest.mark.parametrize("counts", ["1,2,3", "2,0.5,1,3"])
+    def test_separable_route_is_integrate_with_the_default_prior(self, counts):
+        # both are the gauss_grid core with no prior: the same bits and
+        # (n-1) k evaluations
+        integrate = report_of(run_cli("integrate", "--counts", counts,
+                                      "--nodes", "16"))
+        compare = run_cli("compare", "--counts", counts, "--nodes", "16")
+        assert compare.returncode in (0, 4), compare.stderr
+        separable = json.loads(compare.stdout)["results"]["log_separable"]
+        assert integrate["results"]["log_value"] == separable
+        n = len(counts.split(","))
+        assert integrate["diagnostics"]["evaluations"] == (n - 1) * 16
 
     def test_report_is_byte_stable_up_to_wall_time(self):
         args = ("compare", "--counts", "1,1,1", "--tol", "1e-9")

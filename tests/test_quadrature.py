@@ -179,6 +179,22 @@ class TestSpecsAndEstimates:
         mc = QuadratureSpec(scheme="monte_carlo", samples=1000.0, seed=7.0)
         assert (mc.samples, mc.seed) == (1000, 7)
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64, 2.0**64, -2**63 - 1])
+    def test_monte_carlo_seeds_outside_the_key_word_are_refused(self, seed):
+        # 2**64 would fold onto seed 0 and -1 onto 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must lie in \[-2\*\*63, 2\*\*63\)"):
+            QuadratureSpec(scheme="monte_carlo", seed=seed)
+
+    def test_monte_carlo_seeds_at_the_ends_of_the_range_run(self):
+        m = np.array([1.0, 2.0])
+        runs = {
+            integrate_simplex_log(
+                m, None, QuadratureSpec(scheme="monte_carlo", samples=100, seed=s)
+            ).log_value
+            for s in (-2**63, 2**63 - 1, -1, 0)
+        }
+        assert len(runs) == 4
+
     def test_specs_are_immutable(self):
         spec = QuadratureSpec(scheme="gauss_grid")
         with pytest.raises(Exception):
@@ -611,24 +627,37 @@ class TestPartialGrid:
         assert told == plain
 
 
+# integrate_separable and the gauss_grid core with no prior
+_SEPARABLE_ROUTES = (
+    integrate_separable,
+    lambda m, spec=QuadratureSpec("gauss_grid"): integrate_simplex_log(m, None, spec),
+)
+
+
 class TestSeparable:
+    """integrate_separable is the gauss_grid core with no prior, so
+    each case runs through both."""
+
     def test_unit_counts_give_one_over_120(self):
-        est = integrate_separable(np.array([1.0, 1.0, 1.0]))
-        assert est.value == pytest.approx(1.0 / 120.0, rel=1e-13, abs=0)
-        assert est.evaluations == 2 * 32
+        for integrate in _SEPARABLE_ROUTES:
+            est = integrate(np.array([1.0, 1.0, 1.0]))
+            assert est.value == pytest.approx(1.0 / 120.0, rel=1e-13, abs=0)
+            assert est.evaluations == 2 * 32
 
     def test_two_bins_reduce_to_a_beta_integral(self):
         # n = 2 has a single angle, so the "product" is one Beta value
         m = np.array([2.5, 4.0])
-        est = integrate_separable(m, QuadratureSpec("gauss_grid", 48))
-        assert est.log_value == pytest.approx(
-            log_beta(m[0] + 1.0, m[1] + 1.0), abs=1e-12
-        )
+        for integrate in _SEPARABLE_ROUTES:
+            est = integrate(m, QuadratureSpec("gauss_grid", 48))
+            assert est.log_value == pytest.approx(
+                log_beta(m[0] + 1.0, m[1] + 1.0), abs=1e-12
+            )
 
     def test_five_bins_at_64_nodes_match_the_closed_form(self):
         m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        est = integrate_separable(m, QuadratureSpec("gauss_grid", 64))
-        assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-12
+        for integrate in _SEPARABLE_ROUTES:
+            est = integrate(m, QuadratureSpec("gauss_grid", 64))
+            assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-12
 
     def test_agrees_with_the_full_grid_at_equal_nodes(self):
         # same 1-D rule, but the grid sums nodes^(n-1) products while
@@ -636,15 +665,58 @@ class TestSeparable:
         # genuine consistency check of the kernel factorization
         m = np.array([2.0, 0.5, 1.0, 3.0])
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=20)
-        separated = integrate_separable(m, spec)
         grid = integrate_simplex_log(np.zeros(4), power_log_integrand(m), spec)
-        assert log_rel_gap(separated.log_value, grid.log_value) <= 1e-10
+        for integrate in _SEPARABLE_ROUTES:
+            separated = integrate(m, spec)
+            assert log_rel_gap(separated.log_value, grid.log_value) <= 1e-10
 
     def test_rejects_non_gauss_specs(self):
         with pytest.raises(ValueError):
             integrate_separable(
                 np.array([1.0, 2.0]), QuadratureSpec(scheme="monte_carlo")
             )
+
+
+def _zero_log_prior(points):
+    return np.zeros(points.shape[0])
+
+
+class TestNoPrior:
+    """log_prior None: no prior on every scheme, with the bits of a
+    prior that returns zeros and no per-point prior call."""
+
+    @pytest.mark.parametrize("spec", [
+        QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16),
+        QuadratureSpec(scheme="monte_carlo", samples=70_000, seed=5),
+        QuadratureSpec(scheme="nested_oracle", rel_tol=1e-8),
+    ], ids=lambda spec: spec.scheme)
+    @pytest.mark.parametrize("m", [[2.0, 3.0], [2.0, 0.5, 1.0], [1.0, 0.0, 2.0, 1.0]],
+                             ids=str)
+    def test_is_a_zero_prior_bit_for_bit(self, monkeypatch, spec, m):
+        m = np.array(m)
+        # prior_bins=0: the command line's flat prior before it was None
+        zero = integrate_simplex_log(m, _zero_log_prior, spec, prior_bins=0)
+
+        def refuse(*args):
+            raise AssertionError("a prior was evaluated")
+
+        monkeypatch.setattr(quadrature, "_checked_log_values", refuse)
+        for prior_bins in (None, 0, m.size):
+            bare = integrate_simplex_log(m, None, spec, prior_bins=prior_bins)
+            assert (bare.log_value.hex(), bare.std_error.hex()) == (
+                zero.log_value.hex(), zero.std_error.hex())
+            if spec.scheme == "gauss_grid":
+                # the n-1 axis sums, without the zero prior's head point
+                assert bare.evaluations == (m.size - 1) * 16
+                assert bare.evaluations == zero.evaluations - 1
+            else:
+                assert bare.evaluations == zero.evaluations
+
+    def test_grid_budget_counts_the_axis_sums(self):
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=16)
+        assert integrate_simplex_log(np.ones(5), None, spec, budget=64).evaluations == 64
+        with pytest.raises(IntegrationError, match="0 tensor axes of 4"):
+            integrate_simplex_log(np.ones(5), None, spec, budget=63)
 
 
 class TestNestedOracleRoute:
@@ -890,6 +962,11 @@ class TestMonteCarlo:
         assert est.log_value == float.fromhex(log_value)
         assert est.std_error == float.fromhex(std_error)
         assert est.evaluations == samples
+        if not prior:
+            # no prior at all: the zero prior's bits
+            bare = integrate_simplex_log(np.array(m, dtype=float), None, spec)
+            assert (bare.log_value.hex(), bare.std_error.hex()) == (
+                est.log_value.hex(), est.std_error.hex())
 
     def test_the_prior_gets_one_point_per_row(self):
         # the batch runs one angle per row; the prior still gets

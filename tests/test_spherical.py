@@ -336,3 +336,24 @@ class TestLogKernel:
     def test_rejects_bad_exponent_vectors(self, m):
         with pytest.raises(ValueError):
             log_kernel(1, m.size, m, 0.5)
+
+    @pytest.mark.parametrize("theta, message", [
+        ([math.nan], "angles must be finite"),
+        ([math.inf], "angles must be finite"),
+        ([-math.inf], "angles must be finite"),
+        ([-0.1], r"angles must lie in \[0, pi/2\]"),
+        ([HALF_PI + 1e-9], r"angles must lie in \[0, pi/2\]"),
+        # the NaN is reported, not the out-of-range -1.0 beside it
+        ([math.nan, -1.0], "angles must be finite"),
+        ([], None),
+    ])
+    def test_angle_range_messages(self, theta, message):
+        m = np.array([1.0, 2.0, 3.0])
+        if message is None:
+            assert log_kernel(1, 3, m, theta).tolist() == []
+            return
+        with pytest.raises(ValueError, match=message):
+            log_kernel(1, 3, m, theta)
+        # the batch map and Jacobian check their angles the same way
+        with pytest.raises(ValueError, match=message):
+            angles_to_simplex(np.array(theta))
