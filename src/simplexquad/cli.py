@@ -47,16 +47,16 @@ __all__ = ["main", "build_parser"]
 # numpy and the numerical routes, bound as module globals on the first
 # integrate or compare: moments, --help and input errors never load them
 _NUMERICS = (
-    "np", "parse", "evaluate_batch", "EvaluationError",
-    "ExpressionSyntaxError", "integrate_simplex_log", "integrate_separable",
-    "nested_oracle", "power_log_integrand",
+    "np", "parse", "evaluate_batch", "ExpressionSyntaxError",
+    "integrate_simplex_log", "integrate_separable", "nested_oracle",
+    "power_log_integrand",
 )
 
 
 def _bind_numerics():
     import numpy as np
 
-    from .expressions import EvaluationError, ExpressionSyntaxError, evaluate_batch, parse
+    from .expressions import ExpressionSyntaxError, evaluate_batch, parse
     from .quadrature import (integrate_separable, integrate_simplex_log,
                              nested_oracle, power_log_integrand)
 
@@ -529,9 +529,8 @@ def main(argv=None):
     except (_InputError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # EvaluationError is bound only once integrate or compare has run
-    except (IntegrationError, OverflowError,
-            globals().get("EvaluationError", IntegrationError)) as exc:
+    # an EvaluationError is an IntegrationError
+    except (IntegrationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)

@@ -30,9 +30,11 @@ at a given point always returns the bit-identical value.
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
+
+from .oracle import IntegrationError
 
 __all__ = [
     "GRAMMAR_VERSION",
@@ -89,18 +91,16 @@ class ExpressionSyntaxError(ValueError):
         self.column = column
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(IntegrationError):
     """Evaluation hit a domain edge or produced a non-finite value."""
 
 
-@dataclass(frozen=True)
-class PriorExpression:
+class PriorExpression(namedtuple(
+    "PriorExpression", ("source", "ast", "max_index", "node_count"),
+)):
     """A parsed expression: original source plus an immutable tree."""
 
-    source: str
-    ast: tuple
-    max_index: int
-    node_count: int
+    __slots__ = ()
 
 
 def _tokenize(source):

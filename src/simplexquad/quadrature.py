@@ -37,10 +37,10 @@ monte_carlo
     batches reproduces the serial result bit for bit. A batch is laid
     out one angle per row, in arrays allocated once per call: the map,
     the log-Jacobian and the power term are passes over whole rows
-    (spherical._map_rows), and their sums over angles and bins keep
-    np.sum's pairwise order, so they equal angles_to_simplex,
-    log_jacobian and power_log_integrand bit for bit. A prior, if any,
-    gets the points one per row, like the other schemes.
+    (spherical._map_rows and _log_power_rows), and their sums over
+    angles and bins keep np.sum's pairwise order, so they equal
+    angles_to_simplex, log_jacobian and power_log_integrand bit for
+    bit. A prior, if any, gets the points one per row, as elsewhere.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
@@ -55,7 +55,7 @@ bin powers underflow linear doubles long before they stop mattering.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -73,7 +73,6 @@ from .spherical import (
     HALF_PI,
     _log_power_rows,
     _map_rows,
-    _xlogy,
     # not called here; perfbench/tracer.py wraps both names in this
     # module
     angles_to_simplex,  # noqa: F401
@@ -100,28 +99,25 @@ _CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
-    """An integral value in log form plus how it was obtained.
+class IntegralEstimate(namedtuple(
+    "IntegralEstimate", ("log_value", "std_error", "evaluations", "scheme"),
+)):
+    """An integral value in log form plus how it was obtained, immutable.
 
     std_error is a linear-scale 1-sigma estimate for monte_carlo and
     exactly 0.0 for the deterministic schemes.
     """
 
-    log_value: float
-    std_error: float
-    evaluations: int
-    scheme: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.std_error >= 0.0:
+    def __new__(cls, log_value, std_error, evaluations, scheme):
+        if not std_error >= 0.0:
             raise ValueError("std_error must be nonnegative")
-        if self.evaluations <= 0:
+        if evaluations <= 0:
             raise ValueError("evaluations must be positive")
         # normalize numpy scalars so reports serialize cleanly
-        object.__setattr__(self, "log_value", float(self.log_value))
-        object.__setattr__(self, "std_error", float(self.std_error))
-        object.__setattr__(self, "evaluations", int(self.evaluations))
+        return super().__new__(cls, float(log_value), float(std_error),
+                               int(evaluations), scheme)
 
     @property
     def value(self) -> float:
@@ -252,13 +248,18 @@ class _LogSumAccumulator:
 def power_log_integrand(m):
     """Vectorized log integrand for prod p_i^{m_i}.
 
+    The returned function maps points (..., n) to their log values.
     Zero exponents contribute nothing even at p_i = 0 (the 0^0 = 1
-    convention), so boundary points do not produce NaNs.
+    convention), so boundary points do not produce NaNs. The bins are
+    summed in np.sum(axis=-1)'s order, as Monte Carlo sums them.
     """
     m = np.asarray(as_exponent_vector(m))
 
     def log_f(points):
-        return np.sum(_xlogy(m, points), axis=-1)
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 0 or points.shape[-1] != m.size:
+            raise ValueError(f"points need {m.size} bins, got shape {points.shape}")
+        return _log_power_rows(m, np.moveaxis(points, -1, 0))
 
     return log_f
 

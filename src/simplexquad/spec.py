@@ -41,7 +41,8 @@ def resolve_eval_budget(budget=None):
 
 def _whole(what, value, least=None):
     """value as an int; ValueError unless it is a whole number >= least."""
-    if not float(value).is_integer():
+    # an int is whole already, and float() would overflow past 1e308
+    if not isinstance(value, int) and not float(value).is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}, got {value!r}")

@@ -23,13 +23,15 @@ angles_to_simplex and log_jacobian accept batches: a leading axis of
 angle vectors is mapped elementwise. Both run on one core, _map_rows,
 which takes a batch laid out one angle per row and gives the points
 and the log-Jacobian from one sin/cos pass, each step a pass over
-whole contiguous rows. Its sums over the angles (and Monte Carlo's
-over the bins, _log_power_rows) go through _row_sum, which adds whole
-rows in the order numpy's np.sum(axis=-1) adds the terms of one point;
-that order is what keeps the values bit for bit those of the
-row-major formulas. On a tensor grid the map and the kernels factor
-into per-axis terms; tensor_grid_blocks builds the grid's points and
-log weights from those, block by block.
+whole contiguous rows. The power terms m_j ln p_j of Monte Carlo,
+quadrature.power_log_integrand and log_kernel have one rule,
+_log_power_rows, over bins laid out one per row. Its sums and those
+of _map_rows go through _row_sum, which adds whole rows in the order
+numpy's np.sum(axis=-1) adds the terms of one point; that order is
+what keeps the values bit for bit those of the row-major formulas.
+On a tensor grid the map and the kernels factor into per-axis terms;
+tensor_grid_blocks builds the grid's points and log weights from
+those, block by block.
 """
 
 import math
@@ -47,7 +49,6 @@ __all__ = [
 ]
 
 HALF_PI = math.pi / 2.0
-_LN2 = math.log(2.0)
 
 
 def _check_angle_range(theta):
@@ -59,28 +60,22 @@ def _check_angle_range(theta):
         raise ValueError("angles must lie in [0, pi/2]")
 
 
-def _xlogy(y, x):
-    # y * log(x) with the 0 * log(0) = 0 convention: a zero exponent
-    # removes the factor entirely, whatever the base. The one home of
-    # that rule; quadrature.power_log_integrand uses it too, and
-    # _log_power_rows applies it one bin at a time.
+def _log_power_rows(m, points, terms=None):
+    # sum_j m_j ln p_j with 0 * log(0) = 0, the one home of that rule: a
+    # zero exponent removes the factor, whatever the base. points has
+    # one bin per row on its first axis, any shape after it; the sums
+    # have that shape (a numpy float for ()), in np.sum's order, in
+    # terms[0] of the (n, count) scratch terms, or of a fresh one
+    rows = points.reshape(len(points), -1)
+    terms = np.empty(rows.shape) if terms is None else terms
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = y * np.log(x)
-    return np.where(np.asarray(y) == 0.0, 0.0, out)
-
-
-def _log_power_rows(m, points, terms):
-    # m_j ln p_j, one row per bin of angle-major points (n, count), with
-    # the 0 * log(0) = 0 rule of _xlogy; returns each point's sum over
-    # the bins in np.sum's order, written into terms[0]
-    with np.errstate(divide="ignore"):
-        for mj, p, t in zip(m, points, terms):
+        for mj, p, t in zip(m, rows, terms):
             if mj == 0.0:
                 t.fill(0.0)
             else:
                 np.log(p, out=t)
                 t *= mj
-    return _row_sum(terms, terms[0])
+    return _row_sum(terms, terms[0]).reshape(points.shape[1:])[()]
 
 
 def _row_sum(terms, out):
@@ -354,7 +349,9 @@ def log_kernel(j, n, m, theta_j):
 
     cos_exp = 2.0 * (m[j - 1] + 1.0) - 1.0
     sin_exp = 2.0 * float(np.sum(m[j:] + 1.0)) - 1.0
-    out = _LN2 + _xlogy(cos_exp, np.cos(t)) + _xlogy(sin_exp, np.sin(t))
-    if out.ndim == 0:
+    # the power product 2^1 cos^a t sin^b t, its terms added in that order
+    bases = np.array([np.full(t.shape, 2.0), np.cos(t), np.sin(t)])
+    out = _log_power_rows((1.0, cos_exp, sin_exp), bases)
+    if np.ndim(out) == 0:
         return float(out)
     return out

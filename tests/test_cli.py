@@ -310,6 +310,19 @@ class TestIntegrateCommand:
         assert result.stdout == ""
         assert "seed must lie in [-2**63, 2**63)" in result.stderr
 
+    def test_a_400_digit_seed_or_node_count_is_not_converted_to_float(self):
+        huge = "9" * 400
+        seed = run_cli("integrate", "--counts", "1,2", "--scheme", "mc",
+                       "--samples", "5", "--seed", huge, "--plain")
+        assert seed.returncode == 2
+        assert "seed must lie in [-2**63, 2**63)" in seed.stderr
+        nodes = run_cli("integrate", "--counts", "1,2", "--nodes", huge)
+        assert nodes.returncode == 3
+        assert "over the budget" in nodes.stderr
+        for result in (seed, nodes):
+            assert result.stdout == ""
+            assert "int too large" not in result.stderr
+
     def test_monte_carlo_seeds_at_the_ends_of_the_range_run(self):
         outputs = {
             run_cli("integrate", "--counts", "1,2", "--scheme", "mc",

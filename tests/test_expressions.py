@@ -19,7 +19,7 @@ from simplexquad import (
     format_expression,
     parse,
 )
-from simplexquad import expressions
+from simplexquad import IntegrationError, expressions
 from simplexquad.expressions import MAX_NODES, PriorExpression
 
 POINT = np.array([0.25, 0.16, 0.59])
@@ -179,6 +179,13 @@ class TestLimits:
 
 
 class TestEvaluation:
+    def test_evaluation_errors_are_numerical_failures(self):
+        # one root for what the command line reports with exit 3
+        assert issubclass(EvaluationError, IntegrationError)
+        assert issubclass(EvaluationError, RuntimeError)
+        with pytest.raises(IntegrationError):
+            ev("log(p1 - 1)")
+
     def test_variables_read_the_point(self):
         assert ev("p1") == 0.25
         assert ev("p3") == 0.59
@@ -332,3 +339,10 @@ class TestFormatting:
         expr = parse(" p1+ 1")
         assert isinstance(expr, PriorExpression)
         assert expr.source == " p1+ 1"
+
+    def test_parsed_expressions_are_immutable_records(self):
+        expr = parse("p2 + 1")
+        assert expr == PriorExpression(source="p2 + 1", ast=expr.ast,
+                                       max_index=2, node_count=3)
+        with pytest.raises(AttributeError):
+            expr.source = "p1"

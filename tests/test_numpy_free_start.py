@@ -83,6 +83,8 @@ def test_closed_forms_and_input_errors_leave_numpy_unloaded():
     # int p1^2 p3 over the simplex is 2! 0! 1! / 5! = 1/60
     integrate = steps["integrate"]
     assert integrate["numpy"]
+    # numpy does not load dataclasses, and no record of ours needs it
+    assert not integrate["dataclasses"]
     assert integrate["code"] == 0, integrate["stderr"]
     report = json.loads(integrate["stdout"])
     assert abs(report["results"]["value"] * 60.0 - 1.0) < 1e-12

@@ -208,6 +208,14 @@ class TestSpecsAndEstimates:
         with pytest.raises(ValueError):
             IntegralEstimate(0.0, 0.0, 0, "gauss_grid")
 
+    def test_estimates_are_immutable_records(self):
+        est = IntegralEstimate(log_value=np.float64(-1.5), std_error=np.float64(0.0),
+                               evaluations=np.int64(8), scheme="gauss_grid")
+        assert est == IntegralEstimate(-1.5, 0.0, 8, "gauss_grid")
+        assert [type(v) for v in est[:3]] == [float, float, int]
+        with pytest.raises(AttributeError):
+            est.log_value = 0.0
+
     def test_estimate_value_is_exp_of_log_value(self):
         est = IntegralEstimate(math.log(0.25), 0.0, 4, "gauss_grid")
         assert est.value == 0.25
@@ -1012,3 +1020,36 @@ class TestPowerLogIntegrand:
         points = raw / raw.sum(axis=1, keepdims=True)
         expected = np.sum(m * np.log(points), axis=1)
         np.testing.assert_allclose(log_f(points), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 140])
+    def test_bits_are_those_of_the_row_major_sum(self, n):
+        # n = 8, 9 and 140 cross np.sum's blocks of 8 and its split at
+        # 128; zero exponents meet zero coordinates
+        rng = np.random.default_rng(n)
+        m = rng.uniform(0.0, 6.0, n)
+        m[::3] = 0.0
+        log_f = power_log_integrand(m)
+        for shape in [(n,), (2, 3, n)]:
+            points = rng.uniform(0.0, 1.0, shape)
+            points[..., ::4] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.sum(np.where(m == 0, 0, m * np.log(points)), axis=-1)
+            got = log_f(points)
+            assert type(got) is type(expected)
+            assert np.shape(got) == shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1,), (5, 3), (5, 5), ()])
+    def test_points_need_one_coordinate_per_bin(self, shape):
+        # a (count, 1) array used to broadcast against the exponents
+        log_f = power_log_integrand(np.array([1.0, 2.0, 0.0, 0.5]))
+        with pytest.raises(ValueError, match="points need 4 bins"):
+            log_f(np.full(shape, 0.25))
+
+    def test_a_grid_prior_of_fewer_bins_than_counts_is_refused(self):
+        # prior_bins = r hands the prior (count, r+1) points, not n bins
+        m = np.array([1.0, 2.0, 0.0, 0.5])
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=4)
+        with pytest.raises(ValueError, match="points need 4 bins"):
+            integrate_simplex_log(np.zeros(4), power_log_integrand(m), spec,
+                                  prior_bins=2)

@@ -276,6 +276,29 @@ class TestLogKernel:
             math.log(2.0) + 3.0 * math.log(math.cos(HALF_PI)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("j, m", [
+        (1, [-0.5, 1.0, 2.0]),  # cos exponent 2(m_1+1)-1 = 0
+        (2, [1.0, 2.0, -0.5]),  # sin exponent 2 S_2 - 1 = 0
+        (1, [1.0, 2.0, 3.0]),
+        (2, [0.0, 0.0, 0.0]),
+    ])
+    def test_bits_are_those_of_ln2_plus_two_power_terms(self, j, m):
+        def xlogy(y, x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(y == 0.0, 0.0, y * np.log(x))
+
+        m = np.array(m)
+        t = np.array([0.0, 0.3, math.pi / 4, 1.2, HALF_PI])
+        cos_exp = 2.0 * (m[j - 1] + 1.0) - 1.0
+        sin_exp = 2.0 * float(np.sum(m[j:] + 1.0)) - 1.0
+        expected = math.log(2.0) + xlogy(cos_exp, np.cos(t)) + xlogy(sin_exp, np.sin(t))
+        got = log_kernel(j, 3, m, t)
+        assert got.tobytes() == expected.tobytes()
+        for angle, value in zip(t, expected):
+            scalar = log_kernel(j, 3, m, float(angle))
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == value.tobytes()
+
     def test_nontrivial_value_against_high_precision_oracle(self):
         # n = 4, m = (1,2,3,4), j = 2: cos exponent 2(m_2+1)-1 = 5,
         # sin exponent 2((m_3+1)+(m_4+1))-1 = 17
