@@ -16,6 +16,12 @@ decimal literals with optional fraction and exponent; a leading minus
 is unary negation. Note the base of '^' is the unary production, so
 -x^2 means (-x)^2.
 
+The parser climbs the precedence levels in one loop per run of binary
+operators, so only nesting costs interpreter frames: three per group
+or call level, one per '^'. A tree at the nesting limit fits the
+interpreter's default recursion limit, which parse never changes (it
+is process-wide).
+
 Power uses real semantics: x^y = exp(y ln x) for x > 0, 0^y = 0 for
 y > 0, 0^0 = 1, and a negative base or 0^negative is an evaluation
 error. log/sqrt domain edges, division by zero and overflow are also
@@ -29,7 +35,6 @@ at a given point always returns the bit-identical value.
 
 import math
 import re
-import sys
 from collections import namedtuple
 
 import numpy as np
@@ -60,7 +65,6 @@ _MAX_DEPTH = 200
 _BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-_TIGHTEST = max(_PRECEDENCE[kind] for kind in _BINARY.values())
 _ATOM_PRECEDENCE = 5
 _OP_TEXT = {**{kind: f" {token} " for token, kind in _BINARY.items()}, "pow": "^"}
 
@@ -155,31 +159,43 @@ class _Parser:
             )
         return node
 
-    def parse_expression(self, level=1):
-        # one left-associative loop per binary level, loosest first; the
-        # operands of the tightest level are factors
-        node = op = None
+    def parse_expression(self):
+        # one loop climbs _PRECEDENCE over a run of binary operators: an
+        # operator waits on the stack until the next one binds no
+        # tighter, so equal levels group left, and the run costs no
+        # interpreter frames however its levels mix
+        operands = [self.parse_factor()]
+        waiting = []
         while True:
-            operand = (self.parse_factor() if level == _TIGHTEST
-                       else self.parse_expression(level + 1))
-            node = operand if op is None else self.make((op, node, operand), col)
             _, text, col = self.peek()
             op = _BINARY.get(text)
-            if op is None or _PRECEDENCE[op] != level:
-                return node
+            level = _PRECEDENCE[op] if op else 0
+            while waiting and _PRECEDENCE[waiting[-1][0]] >= level:
+                kind, at = waiting.pop()
+                right = operands.pop()
+                operands.append(self.make((kind, operands.pop(), right), at))
+            if op is None:
+                return operands.pop()
             self.advance()
+            waiting.append((op, col))
+            operands.append(self.parse_factor())
 
     def parse_factor(self):
-        # every genuinely nesting construct (parenthesized group, call
+        # the optional unary minus, an atom and a right-associative '^'.
+        # Every genuinely nesting construct (parenthesized group, call
         # argument, power chain) re-enters here exactly once per level,
         # so counting depth at this single point measures real nesting
-        _, _, col = self.peek()
+        kind, text, col = self.peek()
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression nesting exceeds depth {_MAX_DEPTH}", col
             )
-        node = self.parse_unary()
+        if kind == "op" and text == "-":
+            self.advance()
+            node = self.make(("neg", self.parse_atom()), col)
+        else:
+            node = self.parse_atom()
         _, text, col = self.peek()
         if text == "^":
             self.advance()
@@ -187,15 +203,8 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def parse_unary(self):
-        kind, text, col = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            child = self.parse_atom()
-            return self.make(("neg", child), col)
-        return self.parse_atom()
-
     def parse_atom(self):
+        # a number, a group, a variable or a call
         kind, text, col = self.advance()
         if kind == "number":
             value = float(text)
@@ -204,25 +213,17 @@ class _Parser:
                     f"numeric literal {text!r} overflows", col
                 )
             return self.make(("num", value), col)
-        if kind == "ident":
-            return self.parse_ident(text, col)
         if kind == "op" and text == "(":
             node = self.parse_expression()
             self.expect_close("the group")
             return node
-        if kind == "end":
+        if kind != "ident":
+            what = "end of expression" if kind == "end" else repr(text)
             raise ExpressionSyntaxError(
-                "unexpected end of expression; expected a number, p<i>, "
-                "a function call or '('",
+                f"unexpected {what}; expected a number, p<i>, a function "
+                "call or '('",
                 col,
             )
-        raise ExpressionSyntaxError(
-            f"unexpected {text!r}; expected a number, p<i>, a function "
-            "call or '('",
-            col,
-        )
-
-    def parse_ident(self, text, col):
         next_kind, next_text, next_col = self.peek()
         is_call = next_kind == "op" and next_text == "("
         if text in _FUNCTIONS:
@@ -232,13 +233,9 @@ class _Parser:
                 )
             self.advance()
             args = [self.parse_expression()]
-            while True:
-                kind, token_text, _ = self.peek()
-                if kind == "op" and token_text == ",":
-                    self.advance()
-                    args.append(self.parse_expression())
-                else:
-                    break
+            while self.peek()[1] == ",":
+                self.advance()
+                args.append(self.parse_expression())
             self.expect_close(f"the arguments of {text}")
             arity = _FUNCTIONS[text]
             if len(args) != arity:
@@ -280,29 +277,13 @@ def parse(source):
     if tokens[0][0] == "end":
         raise ExpressionSyntaxError("empty expression", 1)
     parser = _Parser(tokens)
-    # the descent burns a handful of interpreter frames per nesting
-    # level, so give it headroom up to _MAX_DEPTH before its own guard
-    # takes over from the interpreter's
-    needed = 8 * _MAX_DEPTH + 200
-    previous = sys.getrecursionlimit()
-    if previous < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        ast = parser.parse_expression()
-    finally:
-        if previous < needed:
-            sys.setrecursionlimit(previous)
+    ast = parser.parse_expression()
     kind, text, col = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(
             f"unexpected {text!r} after a complete expression", col
         )
-    return PriorExpression(
-        source=source,
-        ast=ast,
-        max_index=parser.max_index,
-        node_count=parser.nodes,
-    )
+    return PriorExpression(source, ast, parser.max_index, parser.nodes)
 
 
 def _children(node):

@@ -156,10 +156,11 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
         beyond that; use the spherical schemes instead).
     prior : callable, optional
         A batch callable: takes a list of probability vectors, each a
-        list of n floats, and returns one nonnegative float per vector,
-        in order. The innermost level calls it once per Kronrod pass,
-        with that pass's 15 points. None means 1, and then no prior is
-        evaluated.
+        list of n floats, and returns one finite nonnegative float per
+        vector, in order; anything else is an IntegrationError in the
+        first pass that sees it. The innermost level calls it once per
+        Kronrod pass, with that pass's 15 points. None means 1, and then
+        no prior is evaluated.
     rel_tol : float
         Per-level refinement target, relative to each level's first
         whole-interval estimate.
@@ -207,8 +208,15 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
                 ]
                 if prior is None:
                     return values
-                weights = prior([prefix + [p, remaining - p if p < remaining else 0.0]
-                                 for p in points])
+                weights = list(prior([prefix + [p, remaining - p if p < remaining else 0.0]
+                                      for p in points]))
+                # stop at the first bad value, which would only steer the bisection
+                if len(weights) != len(points) or not all(
+                    0.0 <= w < math.inf for w in weights
+                ):
+                    raise IntegrationError(
+                        "prior must return one finite nonnegative value per point"
+                    )
                 return [v * w for v, w in zip(values, weights)]
             return _integrate(inner, 0.0, remaining, rel_tol, budget)
 

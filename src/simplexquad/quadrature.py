@@ -104,8 +104,8 @@ class IntegralEstimate(namedtuple(
 )):
     """An integral value in log form plus how it was obtained, immutable.
 
-    std_error is a linear-scale 1-sigma estimate for monte_carlo and
-    exactly 0.0 for the deterministic schemes.
+    std_error is monte_carlo's linear-scale 1-sigma estimate (inf past
+    linear doubles) and exactly 0.0 for the deterministic schemes.
     """
 
     __slots__ = ()
@@ -118,6 +118,9 @@ class IntegralEstimate(namedtuple(
         # normalize numpy scalars so reports serialize cleanly
         return super().__new__(cls, float(log_value), float(std_error),
                                int(evaluations), scheme)
+
+    # _replace builds through _make, so the checks hold there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def value(self) -> float:
@@ -382,7 +385,10 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
         std_error = 0.0
     else:
         log_variance = log_second + math.log1p(-math.exp(gap))
-        std_error = math.exp(0.5 * (log_variance - log_samples))
+        try:
+            std_error = math.exp(0.5 * (log_variance - log_samples))
+        except OverflowError:
+            std_error = math.inf
     return log_mean, std_error, samples
 
 
@@ -428,7 +434,9 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
 
     def prior(rows):
         points = np.array(rows, dtype=float)
-        return np.exp(_checked_log_values(log_prior, points, len(rows))).tolist()
+        # an overflow comes back as inf, which the oracle refuses
+        with np.errstate(over="ignore"):
+            return np.exp(_checked_log_values(log_prior, points, len(rows))).tolist()
 
     return _oracle_estimate(m, None if log_prior is None else prior, spec, limit)
 

@@ -64,23 +64,22 @@ class QuadratureSpec(namedtuple(
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        spec = super().__new__(cls, *args, **kwargs)
-        if spec.scheme not in _SCHEMES:
-            raise ValueError(
-                f"scheme must be one of {_SCHEMES}, got {spec.scheme!r}"
-            )
-        if spec.scheme == "gauss_grid":
-            nodes = _whole("nodes_per_axis", spec.nodes_per_axis, 2)
-            return spec._replace(nodes_per_axis=nodes)
-        if spec.scheme == "monte_carlo":
-            spec = spec._replace(samples=_whole("samples", spec.samples, 1),
-                                 seed=_whole("seed", spec.seed))
+        # the generated base binds the arguments and the defaults; the
+        # checked, normalised fields then make the record in one call
+        scheme, nodes, samples, seed, rel_tol = super().__new__(cls, *args, **kwargs)
+        if scheme not in _SCHEMES:
+            raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+        if scheme == "gauss_grid":
+            nodes = _whole("nodes_per_axis", nodes, 2)
+        elif scheme == "monte_carlo":
+            samples = _whole("samples", samples, 1)
+            seed = _whole("seed", seed)
             # one seed per value of the generator's 64-bit key word
-            if not -2**63 <= spec.seed < 2**63:
-                raise ValueError(f"seed must lie in [-2**63, 2**63), got {spec.seed}")
-            return spec
-        if not 0.0 < spec.rel_tol < math.inf:
-            raise ValueError(
-                f"rel_tol must be positive and finite, got {spec.rel_tol!r}"
-            )
-        return spec
+            if not -2**63 <= seed < 2**63:
+                raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
+        elif not 0.0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        return super().__new__(cls, scheme, nodes, samples, seed, rel_tol)
+
+    # _replace builds through _make, so the checks hold there too
+    _make = classmethod(lambda cls, fields: cls(*fields))

@@ -5,7 +5,11 @@ content is the error contract (columns, domain edges, limits) and the
 round-trip property of the canonical printer.
 """
 
+import hashlib
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -176,6 +180,166 @@ class TestLimits:
         monkeypatch.setattr(expressions, "MAX_NODES", 5)
         with pytest.raises(ExpressionSyntaxError, match="limit of 5"):
             parse("1+1+1+1")
+
+
+# 199 levels of each nesting form: one under the depth limit of 200
+_LEVELS = 199
+_NESTED = {
+    "group": "(" * _LEVELS + "p1" + ")" * _LEVELS,
+    "call": "exp(" * _LEVELS + "p1" + ")" * _LEVELS,
+    "negation": "-(" * _LEVELS + "p1" + ")" * _LEVELS,
+    "mixed levels": "1+2*(" * _LEVELS + "p1" + ")" * _LEVELS,
+}
+_POWER_CHAIN = "^".join(["2"] * _LEVELS)
+
+_VOCAB = (
+    "1", "2", "0", "2.5", ".5", "3e2", "1e999", "p1", "p2", "p3", "p0",
+    "exp", "log", "sqrt", "abs", "pow", "q",
+    "+", "-", "-", "*", "/", "^", "(", "(", ")", ")", ",",
+)
+
+
+def _tree_tokens(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return [rng.choice(("1", "2.5", "0", "p1", "p2", "p3"))]
+    sub = _tree_tokens(rng, depth - 1)
+    if roll < 0.4:
+        return ["(", *sub, ")"]
+    if roll < 0.5:
+        return ["-", *sub]
+    if roll < 0.6:
+        return [rng.choice(("exp", "log", "sqrt", "abs")), "(", *sub, ")"]
+    if roll < 0.65:
+        return ["pow", "(", *sub, ",", *_tree_tokens(rng, depth - 1), ")"]
+    op = rng.choice(("+", "-", "*", "/", "^"))
+    return [*sub, op, *_tree_tokens(rng, depth - 1)]
+
+
+def _random_source(rng):
+    # a random token string, or a random well-formed tree with up to two
+    # token edits, joined with or without spaces
+    if rng.random() < 0.3:
+        tokens = [rng.choice(_VOCAB) for _ in range(rng.randint(1, 16))]
+    else:
+        tokens = _tree_tokens(rng, rng.randint(0, 7))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            at = rng.randrange(len(tokens) + 1)
+            edit = rng.random()
+            if edit < 0.4 or at == len(tokens):
+                tokens.insert(at, rng.choice(_VOCAB))
+            elif edit < 0.7:
+                del tokens[at]
+            else:
+                tokens[at] = rng.choice((*_VOCAB, "$"))
+    return "".join(token + rng.choice(("", " ")) for token in tokens)
+
+
+def _outcome(source):
+    try:
+        expr = parse(source)
+    except ExpressionSyntaxError as exc:
+        return ("error", str(exc), exc.column)
+    return (expr.ast, expr.max_index, expr.node_count)
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def _parse_at_depth(depth, source):
+    # parse from a caller `depth` frames deep
+    if _frame_depth() < depth:
+        return _parse_at_depth(depth, source)
+    return parse(source)
+
+
+def _in_threads(count, work):
+    # the errors the threads raised; each thread must finish in time
+    errors = []
+
+    def run():
+        try:
+            work()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    return errors
+
+
+class TestParserFrames:
+    """The parser climbs _PRECEDENCE in one loop, so only nesting costs
+    interpreter frames, and it leaves the recursion limit alone."""
+
+    def test_deep_nesting_parses_without_touching_the_recursion_limit(
+        self, monkeypatch,
+    ):
+        def refuse(limit):
+            raise AssertionError("parse changed the recursion limit")
+
+        limit = sys.getrecursionlimit()
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        for source in (*_NESTED.values(), _POWER_CHAIN):
+            assert parse(source).max_index in (0, 1)
+        assert parse(_NESTED["group"]).ast == ("var", 1)
+        assert parse(_NESTED["call"]).node_count == _LEVELS + 1
+        assert sys.getrecursionlimit() == limit
+
+    def test_outcomes_of_random_token_strings_are_pinned(self, monkeypatch):
+        # the trees, max_index and node_count, or the message and column,
+        # of 6,000 seeded strings, a third of them under small limits;
+        # the digest was taken from the recursive-descent parser
+        rng = random.Random(20131)
+        lines = []
+        for nodes, depth, count in ((10_000, 200, 4000), (4, 200, 1000),
+                                    (10_000, 3, 1000)):
+            monkeypatch.setattr(expressions, "MAX_NODES", nodes)
+            monkeypatch.setattr(expressions, "_MAX_DEPTH", depth)
+            lines += [repr(_outcome(_random_source(rng))) for _ in range(count)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "187700201df4b00efb7f80191e0399300d80ce641cce00cc751150481514400e"
+        )
+        parsed = sum(not line.startswith("('error'") for line in lines)
+        assert 1500 < parsed < 4500
+
+    def test_threads_parse_deep_priors_at_once(self):
+        source = "exp(" * _LEVELS + "1" + ")" * _LEVELS
+
+        def work():
+            for _ in range(25):
+                parse(source)
+
+        # switch threads often, so that parses overlap
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert _in_threads(4, work) == []
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_headroom_for_deep_callers(self):
+        # three frames per level and one per '^': at the default limit of
+        # 1000, a caller 390 frames deep still parses 199 levels, 790
+        # frames deep a 199-level power chain
+        spare = sys.getrecursionlimit()
+
+        def work():
+            for source in _NESTED.values():
+                _parse_at_depth(spare - 610, source)
+            _parse_at_depth(spare - 210, _POWER_CHAIN)
+
+        assert _in_threads(1, work) == []
 
 
 class TestEvaluation:

@@ -8,6 +8,7 @@ against each other rather than against copied constants.
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,19 @@ class TestSpecsAndEstimates:
         assert [type(v) for v in est[:3]] == [float, float, int]
         with pytest.raises(AttributeError):
             est.log_value = 0.0
+
+    def test_replace_and_make_keep_the_checks(self):
+        # namedtuple's _replace builds through _make, which skips __new__
+        estimate = IntegralEstimate(0.0, 0.0, 1, "gauss_grid")
+        with pytest.raises(ValueError, match="std_error must be nonnegative"):
+            estimate._replace(std_error=-1.0, evaluations=0)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            QuadratureSpec._make(["monte_carlo", 32, 0, 2**70, 1e-10])
+        with pytest.raises(ValueError, match="seed must lie"):
+            QuadratureSpec._make(["monte_carlo", 32, 10, 2**70, 1e-10])
+        spec = QuadratureSpec("gauss_grid")._replace(nodes_per_axis=8.0)
+        assert spec.nodes_per_axis == 8 and type(spec.nodes_per_axis) is int
+        assert estimate._replace(evaluations=np.int64(3)) == (0.0, 0.0, 3, "gauss_grid")
 
     def test_estimate_value_is_exp_of_log_value(self):
         est = IntegralEstimate(math.log(0.25), 0.0, 4, "gauss_grid")
@@ -793,6 +807,37 @@ class TestNestedOracleRoute:
         assert log_rel_gap(est.log_value, log_norm_integral(shifted)) <= 1e-9
 
 
+class TestOracleRefusesBadPriorValues:
+    """A prior value that is not one finite nonnegative float per point
+    stops the oracle in the first pass that sees it, not at the end of
+    its budget."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=str)
+    def test_the_first_pass_refuses_the_value(self, value):
+        with pytest.raises(IntegrationError, match="finite nonnegative") as info:
+            nested_oracle([1, 1], lambda p: value, budget=10**6)
+        assert info.value.evaluations == 15
+
+    @pytest.mark.parametrize("count", [14, 16])
+    def test_one_value_per_point(self, count):
+        with pytest.raises(IntegrationError, match="one finite") as info:
+            oracle.nested_simplex_integral(
+                [1.0, 2.0, 0.0], lambda rows: [1.0] * count, max_evaluations=10**6
+            )
+        # the outer level's first pass, then its first point's inner pass
+        assert info.value.evaluations == 30
+
+    def test_an_overflowing_log_prior_on_the_core_route(self):
+        spec = QuadratureSpec(scheme="nested_oracle")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="finite") as info:
+                integrate_simplex_log(
+                    [1, 1], lambda p: np.full(len(p), 800.0), spec, budget=10**6
+                )
+        assert info.value.evaluations == 15
+
+
 def _exp_prior(p):
     return math.exp(-2.0 * p[0]) * (1.0 + p[1] ** 2)
 
@@ -990,6 +1035,15 @@ class TestMonteCarlo:
         spec = QuadratureSpec(scheme="monte_carlo", samples=200_001, seed=0)
         integrate_simplex_log(np.ones(3), log_prior, spec)
         assert shapes == [(65_536, 3)] * 3 + [(3393, 3)]
+
+    def test_an_overflowing_std_error_is_inf(self):
+        # e^800 times the integral of p1 p2, 1/6: the log value fits in a
+        # double, its linear-scale error does not
+        spec = QuadratureSpec("monte_carlo")
+        est = integrate_simplex_log([1, 1], lambda p: np.full(len(p), 800.0), spec)
+        assert est.std_error == math.inf
+        assert est.log_value == pytest.approx(800.0 + math.log(1 / 6), rel=1e-4)
+        assert est.evaluations == spec.samples
 
     def test_sample_count_over_budget_is_refused(self):
         m = np.array([1.0, 2.0])
