@@ -433,10 +433,10 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
         return IntegralEstimate(log_value, std_error, evaluations, spec.scheme)
 
     def prior(rows):
-        points = np.array(rows, dtype=float)
-        # an overflow comes back as inf, which the oracle refuses
+        values = _checked_log_values(log_prior, np.array(rows, dtype=float), len(rows))
+        # only this exp is quiet: its overflow is an inf the oracle refuses
         with np.errstate(over="ignore"):
-            return np.exp(_checked_log_values(log_prior, points, len(rows))).tolist()
+            return np.exp(values).tolist()
 
     return _oracle_estimate(m, None if log_prior is None else prior, spec, limit)
 

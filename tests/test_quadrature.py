@@ -837,6 +837,16 @@ class TestOracleRefusesBadPriorValues:
                 )
         assert info.value.evaluations == 15
 
+    def test_a_log_prior_that_overflows_itself_still_warns(self):
+        # only the route's own exp is quiet; the caller's code is not
+        spec = QuadratureSpec(scheme="nested_oracle")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(IntegrationError, match="NaN or infinity"):
+                integrate_simplex_log(
+                    [1, 1], lambda p: np.exp(np.full(len(p), 800.0)), spec,
+                    budget=10**6,
+                )
+
 
 def _exp_prior(p):
     return math.exp(-2.0 * p[0]) * (1.0 + p[1] ** 2)
