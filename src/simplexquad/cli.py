@@ -31,6 +31,7 @@ import sys
 import time
 
 from .moments import (
+    _bin_index,
     as_exponent_vector,
     log_norm_integral,
     means,
@@ -40,7 +41,7 @@ from .moments import (
     variance,
 )
 from .oracle import IntegrationError
-from .spec import QuadratureSpec, resolve_eval_budget
+from .spec import QuadratureSpec, _positive, resolve_eval_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -79,20 +80,13 @@ _DEFAULT_TOL = 1e-8
 _SPEC_DEFAULTS = QuadratureSpec._field_defaults
 
 
-class _InputError(Exception):
-    pass
-
-
 def _tolerance(text):
     try:
-        value = float(text)
+        return _positive("--tol", text)
     except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text!r}"
-        )
-    return value
+        ) from None
 
 
 def build_parser():
@@ -179,15 +173,11 @@ def build_parser():
 
 
 def _parse_counts_text(text):
-    pieces = [piece.strip() for piece in text.split(",")]
-    if not pieces or any(not piece for piece in pieces):
-        raise _InputError(
-            f"counts must be comma-separated numbers, got {text!r}"
-        )
+    # an empty piece, as in "1,,2", fails float() like any other
     try:
-        return [float(piece) for piece in pieces]
+        return [float(piece) for piece in text.split(",")]
     except ValueError:
-        raise _InputError(
+        raise ValueError(
             f"counts must be comma-separated numbers, got {text!r}"
         ) from None
 
@@ -197,19 +187,19 @@ def _read_counts_file(path):
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        raise _InputError(f"cannot read counts file: {exc}") from None
+        raise ValueError(f"cannot read counts file: {exc}") from None
     values = []
     for line in lines:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if not all(piece.strip() for piece in body.split(",")):
-            raise _InputError(f"empty count in {path}: {line!r}")
+            raise ValueError(f"empty count in {path}: {line!r}")
         for piece in body.replace(",", " ").split():
             try:
                 values.append(float(piece))
             except ValueError:
-                raise _InputError(
+                raise ValueError(
                     f"bad count {piece!r} in {path}"
                 ) from None
     return values
@@ -220,36 +210,22 @@ def _resolve_counts(args):
         values = _read_counts_file(args.counts_file)
     else:
         values = _parse_counts_text(args.counts)
-    try:
-        return as_exponent_vector(values)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    return as_exponent_vector(values)
 
 
 def _parse_moment_indices(text, n):
     if text is None:
-        return None
+        return None, None
     try:
         indices = [int(piece) for piece in text.split(",")]
     except ValueError:
-        raise _InputError(
+        raise ValueError(
             f"--moment expects comma-separated bin indices, got {text!r}"
         ) from None
-    if not indices:
-        raise _InputError("--moment needs at least one bin index")
+    powers = [0.0] * n
     for index in indices:
-        if not 1 <= index <= n:
-            raise _InputError(
-                f"--moment index {index} is outside 1..{n}"
-            )
-    return indices
-
-
-def _moment_multi_index(indices, n):
-    a = [0.0] * n
-    for index in indices:
-        a[index - 1] += 1.0
-    return a
+        powers[_bin_index(index, n, "--moment index")] += 1.0
+    return indices, powers
 
 
 def _make_report(command, counts, args, results, evaluations, wall_time,
@@ -275,7 +251,7 @@ def _make_report(command, counts, args, results, evaluations, wall_time,
 
 def cmd_moments(args, counts):
     n = len(counts)
-    indices = _parse_moment_indices(args.moment, n)
+    indices, powers = _parse_moment_indices(args.moment, n)
 
     mean_values = means(counts)
     results = {
@@ -289,7 +265,7 @@ def cmd_moments(args, counts):
     if indices is not None:
         results["moment"] = {
             "index": indices,
-            "value": moment(counts, _moment_multi_index(indices, n)),
+            "value": moment(counts, powers),
         }
     return results, 0, {"moment": indices}, 0
 
@@ -325,13 +301,13 @@ def cmd_integrate(args, counts):
     _bind_numerics()
     counts = np.asarray(counts)
     n = counts.size
-    indices = _parse_moment_indices(args.moment, n)
+    indices, powers = _parse_moment_indices(args.moment, n)
     try:
         expr = parse(args.prior)
     except ExpressionSyntaxError as exc:
-        raise _InputError(f"bad --prior expression: {exc}") from None
+        raise ValueError(f"bad --prior expression: {exc}") from None
     if expr.max_index > n:
-        raise _InputError(
+        raise ValueError(
             f"prior references p{expr.max_index} but there are only {n} bins"
         )
     spec = _quadrature_spec(args)
@@ -353,7 +329,7 @@ def cmd_integrate(args, counts):
             raise IntegrationError(
                 "the normalizing integral is zero, so the moment is undefined"
             )
-        shifted = counts + _moment_multi_index(indices, n)
+        shifted = counts + powers
         numerator = integrate_simplex_log(
             shifted, log_prior, spec, prior_bins=prior_bins
         )
@@ -526,7 +502,7 @@ def main(argv=None):
         )
         text = _render(report, args.plain)
     # an ExpressionSyntaxError is a ValueError
-    except (_InputError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # an EvaluationError is an IntegrationError

@@ -30,6 +30,7 @@ naming used by the expression language and the command line.
 
 import math
 
+from .spec import _whole
 from .special import log_gamma
 
 __all__ = [
@@ -67,10 +68,13 @@ def as_exponent_vector(m):
 _EXACT_ORDER = 100_000  # largest |a| done factor by factor, in O(|a|)
 
 
-def _bin_index(i, n):
-    if not float(i).is_integer() or not 1 <= int(i) <= n:
-        raise IndexError(f"bin index must be an integer in 1..{n}, got {i!r}")
-    return int(i) - 1
+def _bin_index(i, n, what="bin index"):
+    """0-based position of the 1-based index i of a bin, an angle or
+    --moment: ValueError unless whole, IndexError outside 1..n."""
+    k = _whole(what, i)
+    if not 1 <= k <= n:
+        raise IndexError(f"{what} {i!r} is outside 1..{n}")
+    return k - 1
 
 
 def log_norm_integral(m) -> float:

@@ -5,6 +5,7 @@ report; quadrature re-exports them under the same names.
 """
 
 import math
+import operator
 import os
 from collections import namedtuple
 
@@ -40,13 +41,27 @@ def resolve_eval_budget(budget=None):
 
 
 def _whole(what, value, least=None):
-    """value as an int; ValueError unless it is a whole number >= least."""
-    # an int is whole already, and float() would overflow past 1e308
-    if not isinstance(value, int) and not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
+    """value as an int; ValueError unless it is a whole number >= least.
+
+    Ints stay exact, as float() overflows past 1e308; 8.0 and "8" pass."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        number = int(number)
+    if least is not None and number < least:
         raise ValueError(f"{what} must be at least {least}, got {value!r}")
-    return int(value)
+    return number
+
+
+def _positive(what, value):
+    """value as a float; ValueError unless it is positive and finite."""
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return number
 
 
 class QuadratureSpec(namedtuple(
@@ -55,10 +70,10 @@ class QuadratureSpec(namedtuple(
 )):
     """Which scheme to run and its knobs, immutable.
 
-    Only the fields of the chosen scheme matter: nodes_per_axis for
-    gauss_grid, samples and seed for monte_carlo, rel_tol for
-    nested_oracle. The rest are ignored. The defaults are in
-    QuadratureSpec._field_defaults.
+    Only the fields of the chosen scheme are checked and normalised, the
+    rest ignored: nodes_per_axis for gauss_grid, samples and seed for
+    monte_carlo (ints), rel_tol for nested_oracle (a positive finite
+    float). The defaults are in QuadratureSpec._field_defaults.
     """
 
     __slots__ = ()
@@ -77,8 +92,8 @@ class QuadratureSpec(namedtuple(
             # one seed per value of the generator's 64-bit key word
             if not -2**63 <= seed < 2**63:
                 raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
-        elif not 0.0 < rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        else:
+            rel_tol = _positive("rel_tol", rel_tol)
         return super().__new__(cls, scheme, nodes, samples, seed, rel_tol)
 
     # _replace builds through _make, so the checks hold there too

@@ -12,6 +12,8 @@ rejected rather than handled.
 
 import math
 
+from .spec import _whole
+
 __all__ = ["log_gamma", "log_beta", "log_factorial"]
 
 # k! is exact in binary64 up to k = 20 (2^53 > 20!).
@@ -42,16 +44,12 @@ def log_beta(a: float, b: float) -> float:
 
 
 def log_factorial(k: int) -> float:
-    """Return ln k! for integer k >= 0.
+    """Return ln k! for a whole number k >= 0 (5, 5.0 or "5"), else ValueError.
 
     For k <= 20 the factorial is computed exactly as an integer first,
     so the result is correctly rounded; beyond that it is ln Gamma(k+1).
     """
-    if isinstance(k, float) and not k.is_integer():
-        raise ValueError(f"log_factorial requires a nonnegative integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"log_factorial requires a nonnegative integer, got {k!r}")
+    k = _whole("log_factorial argument", k, 0)
     if k <= 20:
         return math.log(_EXACT_FACTORIALS[k])
     return math.lgamma(k + 1.0)

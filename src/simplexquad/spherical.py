@@ -39,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .moments import as_exponent_vector
+from .moments import _bin_index, as_exponent_vector
 
 __all__ = [
     "angles_to_simplex",
@@ -338,17 +338,23 @@ def log_kernel(j, n, m, theta_j):
     float or ndarray
         ln K_j; -inf at boundary zeros of the kernel, +inf where a
         negative power (m_j < -1/2 at the cos end, say) diverges.
+
+    Raises
+    ------
+    ValueError
+        If j is not a whole number, or m, n or an angle is malformed.
+    IndexError
+        If j is a whole number outside 1..n-1.
     """
     m = np.asarray(as_exponent_vector(m))
     if n != m.size:
         raise ValueError(f"n={n} does not match len(m)={m.size}")
-    if not 1 <= j <= n - 1:
-        raise IndexError(f"kernel index must satisfy 1 <= j <= n-1, got j={j}")
+    j0 = _bin_index(j, n - 1, "kernel index")
     t = np.asarray(theta_j, dtype=float)
     _check_angle_range(t)
 
-    cos_exp = 2.0 * (m[j - 1] + 1.0) - 1.0
-    sin_exp = 2.0 * float(np.sum(m[j:] + 1.0)) - 1.0
+    cos_exp = 2.0 * (m[j0] + 1.0) - 1.0
+    sin_exp = 2.0 * float(np.sum(m[j0 + 1:] + 1.0)) - 1.0
     # the power product 2^1 cos^a t sin^b t, its terms added in that order
     bases = np.array([np.full(t.shape, 2.0), np.cos(t), np.sin(t)])
     out = _log_power_rows((1.0, cos_exp, sin_exp), bases)

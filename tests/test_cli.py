@@ -613,6 +613,72 @@ def test_tol_must_be_positive_and_finite(command, tol):
     assert "--tol" in result.stderr
 
 
+_INTEGRATE_USAGE = (
+    "usage: simplexquad integrate [-h]\n"
+    "                             (--counts COUNTS | --counts-file COUNTS_FILE)\n"
+    "                             [--plain] [--prior PRIOR]\n"
+    "                             [--scheme {gauss,mc,oracle}] [--nodes NODES]\n"
+    "                             [--samples SAMPLES] [--seed SEED] [--tol TOL]\n"
+    "                             [--moment MOMENT]\n"
+)
+
+
+# The exit code and the whole stderr of each malformed call, frozen as
+# the command line printed them; "{path}" stands for the counts file
+@pytest.mark.parametrize("args, code, stderr", [
+    (("moments", "--counts", "1,1", "--moment", "5"), 2,
+     "error: --moment index 5 is outside 1..2\n"),
+    (("moments", "--counts", "1,1", "--moment", "0"), 2,
+     "error: --moment index 0 is outside 1..2\n"),
+    (("moments", "--counts", "1,1", "--moment", "1.5"), 2,
+     "error: --moment expects comma-separated bin indices, got '1.5'\n"),
+    (("moments", "--counts", "1,1", "--moment", ""), 2,
+     "error: --moment expects comma-separated bin indices, got ''\n"),
+    (("integrate", "--counts", "1,1", "--tol", "0"), 2,
+     _INTEGRATE_USAGE + "simplexquad integrate: error: argument --tol: "
+     "must be a positive finite number, got '0'\n"),
+    (("integrate", "--counts", "1,1", "--tol", "nan"), 2,
+     _INTEGRATE_USAGE + "simplexquad integrate: error: argument --tol: "
+     "must be a positive finite number, got 'nan'\n"),
+    (("moments", "--counts", "1,,2"), 2,
+     "error: counts must be comma-separated numbers, got '1,,2'\n"),
+    (("moments", "--counts", "a,2"), 2,
+     "error: counts must be comma-separated numbers, got 'a,2'\n"),
+    (("moments", "--counts", "1"), 2,
+     "error: counts must form a 1-D vector with at least two bins\n"),
+    (("moments", "--counts", "-1,2"), 2,
+     "error: every count must be a finite value > -1\n"),
+    (("moments", "--counts-file", "{path}"), 2,
+     "error: empty count in {path}: '3,,4'\n"),
+    (("moments", "--counts-file", "{path}.missing"), 2,
+     "error: cannot read counts file: [Errno 2] No such file or directory: "
+     "'{path}.missing'\n"),
+    (("integrate", "--counts", "1,1", "--prior", "p1+"), 2,
+     "error: bad --prior expression: unexpected end of expression; expected "
+     "a number, p<i>, a function call or '(' (column 4)\n"),
+    (("integrate", "--counts", "1,1", "--prior", "p3"), 2,
+     "error: prior references p3 but there are only 2 bins\n"),
+    (("integrate", "--counts", "1,1", "--nodes", "1"), 2,
+     "error: nodes_per_axis must be at least 2, got 1\n"),
+    (("integrate", "--counts", "1,1", "--scheme", "mc", "--samples", "0"), 2,
+     "error: samples must be at least 1, got 0\n"),
+    (("integrate", "--counts", "1,1", "--scheme", "mc", "--seed", "9" * 20), 2,
+     "error: seed must lie in [-2**63, 2**63), got 99999999999999999999\n"),
+    (("compare", "--counts", "1,1,1,1,1,1,1"), 3,
+     "numerical failure: gauss_grid with 32 nodes on 6 tensor axes of 6 needs "
+     "1073741824 evaluations, over the budget of 100000000\n"),
+])
+def test_malformed_input_exit_code_and_stderr(tmp_path, args, code, stderr):
+    path = tmp_path / "counts.txt"
+    path.write_text("1\n3,,4\n")
+    # argparse wraps its usage text to the terminal width
+    result = run_cli(*(a.replace("{path}", str(path)) for a in args),
+                     env_extra={"COLUMNS": "80"})
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr == stderr.replace("{path}", str(path))
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

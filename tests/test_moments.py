@@ -413,6 +413,17 @@ class TestClosedForms:
         with pytest.raises(IndexError):
             covariance(m, 1, -1)
 
+    def test_bin_index_is_a_whole_number_of_any_spelling(self):
+        m = [1.0, 2.0]
+        for i in ("1", 1.0, "1.0", np.int64(1)):
+            assert mean(m, i) == mean(m, 1)
+        # a whole number out of range, however large, is an IndexError,
+        # not float()'s OverflowError
+        with pytest.raises(IndexError, match=r"bin index \d+ is outside 1\.\.2"):
+            mean(m, 10**400)
+        with pytest.raises(ValueError, match="bin index must be an integer"):
+            variance(m, 1.5)
+
 
 # Frozen values of the closed forms, captured before they moved from
 # numpy arrays to plain floats; the move must not change a bit. Counts

@@ -144,6 +144,11 @@ class TestGaussLegendre:
             gauss_legendre(2.5)
         assert gauss_legendre(3.0)[0] is gauss_legendre(3)[0]
 
+    def test_a_whole_number_string_is_a_count(self):
+        # "8" once reached a comparison with the least count, a TypeError
+        assert gauss_legendre("8")[0] is gauss_legendre(8)[0]
+        assert gauss_legendre("8")[1] is gauss_legendre(8)[1]
+
 
 class TestSpecsAndEstimates:
     def test_scheme_names_are_validated(self):
@@ -179,6 +184,14 @@ class TestSpecsAndEstimates:
         )
         mc = QuadratureSpec(scheme="monte_carlo", samples=1000.0, seed=7.0)
         assert (mc.samples, mc.seed) == (1000, 7)
+
+    def test_numeric_strings_are_normalized(self):
+        # both once raised TypeError comparing a str with a number
+        grid = QuadratureSpec("gauss_grid", "32")
+        assert grid.nodes_per_axis == 32 and type(grid.nodes_per_axis) is int
+        oracle_spec = QuadratureSpec("nested_oracle", rel_tol="1e-3")
+        assert oracle_spec.rel_tol == 0.001 and type(oracle_spec.rel_tol) is float
+        assert type(QuadratureSpec("nested_oracle", rel_tol=1).rel_tol) is float
 
     @pytest.mark.parametrize("seed", [2**63, 2**64, 2.0**64, -2**63 - 1])
     def test_monte_carlo_seeds_outside_the_key_word_are_refused(self, seed):

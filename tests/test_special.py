@@ -141,6 +141,12 @@ class TestLogFactorial:
     def test_integer_valued_floats_are_accepted(self):
         assert log_factorial(5.0) == log_factorial(5)
 
+    def test_a_fractional_string_is_refused_by_the_whole_number_rule(self):
+        # int("3.5") once raised its own "invalid literal" message
+        with pytest.raises(ValueError, match="must be an integer, got '3.5'"):
+            log_factorial("3.5")
+        assert log_factorial("5") == log_factorial(5)
+
     @pytest.mark.parametrize("bad", [-1, -7, 1.5, float("nan"), float("inf")])
     def test_rejects_negative_and_fractional(self, bad):
         with pytest.raises(ValueError):

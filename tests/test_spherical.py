@@ -351,6 +351,12 @@ class TestLogKernel:
         with pytest.raises(IndexError):
             log_kernel(3, 3, m, 0.5)
 
+    def test_a_fractional_index_is_a_value_error(self):
+        # 1.5 passed the range check and then indexed numpy with a float
+        with pytest.raises(ValueError, match="kernel index must be an integer"):
+            log_kernel(1.5, 3, [1, 2, 3], 0.3)
+        assert log_kernel(2.0, 3, [1, 2, 3], 0.3) == log_kernel(2, 3, [1, 2, 3], 0.3)
+
     @pytest.mark.parametrize("m", [
         np.array([1.0]),
         np.array([-1.0, 2.0]),
