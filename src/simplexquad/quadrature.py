@@ -34,13 +34,18 @@ monte_carlo
     fixed seed: samples come in batches of 2^16 from a counter-based
     Philox generator keyed (seed, batch_index), and the reduction
     always runs in batch order, so any future parallel split over
-    batches reproduces the serial result bit for bit. A batch is laid
-    out one angle per row, in arrays allocated once per call: the map,
-    the log-Jacobian and the power term are passes over whole rows
-    (spherical._map_rows and _log_power_rows), and their sums over
-    angles and bins keep np.sum's pairwise order, so they equal
+    batches reproduces the serial result bit for bit. Points need
+    nothing from each other, so a batch runs in blocks of _MC_BLOCK
+    points that read the Philox stream in order: per block, three
+    scratch arrays of n rows, reused throughout the call, hold the
+    draws, the angles one per row and the points one bin per row. The
+    map, the log-Jacobian and the power term are passes over those
+    rows (spherical._map_rows and _log_power_rows), and their sums
+    over angles and bins keep np.sum's pairwise order, so they equal
     angles_to_simplex, log_jacobian and power_log_integrand bit for
-    bit. A prior, if any, gets the points one per row, as elsewhere.
+    bit. Per batch: the log values and their squares, reduced once,
+    and with a prior the points one per row and the power terms; the
+    prior gets those points in one call, as elsewhere.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
@@ -97,6 +102,9 @@ __all__ = [
 
 _CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
+# points per Monte Carlo block: n rows of this many doubles stay in
+# cache; 4096 was slower at n = 5
+_MC_BLOCK = 1 << 13
 
 
 class IntegralEstimate(namedtuple(
@@ -335,11 +343,15 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
     n = m.size
     d = n - 1
     log_cube = d * math.log(HALF_PI)
-    # one set of arrays for every batch: each is flat, so a batch of
-    # any size, the short last one too, is whole contiguous rows
+    # per batch: its log values and squares, and with a prior its
+    # points one per row and their power terms; per block: the scratch
+    # rows of the map, flat so that a short block is whole rows too
     size = min(samples, _MC_BATCH)
-    draws, work, points = np.empty(n * size), np.empty(n * size), np.empty(n * size)
+    block = min(size, _MC_BLOCK)
+    draws, work, points = np.empty(n * block), np.empty(n * block), np.empty(n * block)
     logs, squares = np.empty(size), np.empty(size)
+    if log_prior is not None:
+        by_point, powers = np.empty((size, n)), np.empty(size)
 
     # two's-complement fold of the signed seed into the uint64 key word
     key_word = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -351,23 +363,34 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
         count = min(_MC_BATCH, samples - done)
         key = np.array([key_word, batch], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        # drawn one point per row, the stream's order; then one angle
-        # per row, which every later step runs along
-        uniform = draws[: d * count].reshape(count, d)
-        rng.random(out=uniform)
-        theta = work[: d * count].reshape(d, count)
-        np.multiply(uniform.T, HALF_PI, out=theta)
-        by_bin = points[: n * count].reshape(n, count)
         batch_logs = logs[:count]
-        _map_rows(theta, draws[: d * count].reshape(d, count), by_bin, batch_logs)
-        batch_logs += log_cube
-        power = _log_power_rows(m, by_bin, work[: n * count].reshape(n, count))
+        # every point is independent of the others, so the batch runs
+        # in cache-sized blocks; consecutive draws read the stream in the
+        # order one draw of the whole batch would
+        for start in range(0, count, block):
+            c = min(block, count - start)
+            # drawn one point per row, the stream's order; then one
+            # angle per row, which every later step runs along
+            uniform = draws[: d * c].reshape(c, d)
+            rng.random(out=uniform)
+            theta = work[: d * c].reshape(d, c)
+            np.multiply(uniform.T, HALF_PI, out=theta)
+            by_bin = points[: n * c].reshape(n, c)
+            block_logs = batch_logs[start:start + c]
+            _map_rows(theta, draws[: d * c].reshape(d, c), by_bin, block_logs)
+            block_logs += log_cube
+            power = _log_power_rows(m, by_bin, work[: n * c].reshape(n, c))
+            if log_prior is None:
+                block_logs += power
+            else:
+                np.copyto(by_point[start:start + c], by_bin.T)
+                powers[start:start + c] = power
         if log_prior is not None:
-            # the prior gets one point per row, as the other schemes give it
-            by_point = draws[: n * count].reshape(count, n)
-            np.copyto(by_point, by_bin.T)
-            power += _checked_log_values(log_prior, by_point, count)
-        batch_logs += power
+            # the prior gets one point per row, as the other schemes give
+            # it, once per batch; its add keeps the order (power + prior)
+            power = powers[:count]
+            power += _checked_log_values(log_prior, by_point[:count], count)
+            batch_logs += power
         batch_squares = np.multiply(2.0, batch_logs, out=squares[:count])
         acc_mean.add(batch_logs)
         acc_square.add(batch_squares)

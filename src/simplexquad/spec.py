@@ -17,27 +17,14 @@ _SCHEMES = ("gauss_grid", "monte_carlo", "nested_oracle")
 
 def resolve_eval_budget(budget=None):
     """Effective evaluation cap: explicit argument, else the
-    SIMPLEXQUAD_EVAL_BUDGET environment variable, else 1e8."""
-    source = "evaluation budget"
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_EVAL_BUDGET
-        source = BUDGET_ENV_VAR
-        try:
-            budget = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be a number, got {raw!r}"
-            ) from None
-    try:
-        limit = int(budget)
-    except (OverflowError, ValueError):
-        # inf overflows int() and NaN has no integer value
-        raise ValueError(f"{source} must be finite, got {budget!r}") from None
-    if limit <= 0:
-        raise ValueError("evaluation budget must be positive")
-    return limit
+    SIMPLEXQUAD_EVAL_BUDGET environment variable, else 1e8. Either must
+    be a whole number of at least 1 ("2e9" is one; 2.5 is refused)."""
+    if budget is not None:
+        return _whole("evaluation budget", budget, 1)
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None or not raw.strip():
+        return DEFAULT_EVAL_BUDGET
+    return _whole(BUDGET_ENV_VAR, raw, 1)
 
 
 def _whole(what, value, least=None):
@@ -47,7 +34,12 @@ def _whole(what, value, least=None):
     try:
         number = operator.index(value)
     except TypeError:
-        number = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"{what} must be a number, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ValueError(f"{what} must be finite, got {value!r}") from None
         if not number.is_integer():
             raise ValueError(f"{what} must be an integer, got {value!r}") from None
         number = int(number)

@@ -32,7 +32,13 @@ from simplexquad import (
     resolve_eval_budget,
 )
 from simplexquad.quadrature import _LogSumAccumulator, _angle_rule
-from simplexquad.spherical import angles_to_simplex, log_kernel, tensor_grid_blocks
+from simplexquad.spherical import (
+    HALF_PI,
+    angles_to_simplex,
+    log_jacobian,
+    log_kernel,
+    tensor_grid_blocks,
+)
 
 
 def log_rel_gap(log_a, log_b):
@@ -278,6 +284,19 @@ class TestEvalBudget:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 resolve_eval_budget(bad)
+
+    def test_a_fractional_budget_is_refused_not_truncated(self, monkeypatch):
+        # 2.5 was cut to 2, and 0.5 was called not positive
+        for bad in (2.5, 0.5, "2.5"):
+            with pytest.raises(ValueError, match="evaluation budget must be an integer"):
+                resolve_eval_budget(bad)
+            monkeypatch.setenv(BUDGET_ENV_VAR, str(bad))
+            with pytest.raises(ValueError, match=f"{BUDGET_ENV_VAR} must be an integer"):
+                resolve_eval_budget(None)
+        # a whole number in float spelling stays a budget
+        assert resolve_eval_budget(2e9) == resolve_eval_budget("2e9") == 2_000_000_000
+        monkeypatch.setenv(BUDGET_ENV_VAR, "2e9")
+        assert resolve_eval_budget(None) == 2_000_000_000
 
     def test_grid_refuses_instead_of_truncating(self):
         # 32^7 evaluations is over the default budget of 1e8
@@ -943,6 +962,46 @@ class TestBatchedOraclePasses:
             assert 15 * len(shapes) == est.evaluations
 
 
+# (log_value, std_error) captured from the row-major batch: n = 2
+# sums one Jacobian term, n = 9 eight, n = 12 eleven and n = 140 more
+# than 128; 1000 samples is one short batch and 200,001 ends in one. At
+# n = 140 one sample outweighs the rest and std_error rounds to 0.
+_MC_FROZEN = [
+    ([-0.5, 0.0], False, 1000, 0,
+     "0x1.67a528ce25498p-1", "0x1.fda5eae1ab838p-6"),
+    ([1.5, 2.0], True, 200_001, 1,
+     "-0x1.bb7ece458b13cp+1", "0x1.3e9ac849c4338p-14"),
+    ([1, 0, 2, 1, 0, 1, 2, 0, 3], False, 200_001, 3,
+     "-0x1.090e44210c00fp+5", "0x1.8807dc71c9ab9p-50"),
+    ([0.5, -0.5, 0, 2, 1.5, 0, 3, 1, 0], True, 1000, 7,
+     "-0x1.a4fbc9ab6fca0p+4", "0x1.f6e34929c21dbp-39"),
+    ([-0.5, 0, 1.5, 2, 0, 0.5, 3, 1, 0, 2.5, 1, 0], True, 200_001, 11,
+     "-0x1.5e3db65707ddap+5", "0x1.646eb53c1d00bp-64"),
+    ([(i % 5) * 0.5 - 0.5 for i in range(140)], True, 20_000, 2,
+     "-0x1.74fa99254236dp+13", "0x0.0p+0"),
+    ([0.0] * 140, False, 1000, 4,
+     "-0x1.03762d472bc68p+13", "0x0.0p+0"),
+]
+
+
+def _check_frozen(m, prior, samples, seed, log_value, std_error):
+    def log_prior(points):
+        if prior:
+            return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
+        return np.zeros(points.shape[0])
+
+    spec = QuadratureSpec(scheme="monte_carlo", samples=samples, seed=seed)
+    est = integrate_simplex_log(np.array(m, dtype=float), log_prior, spec)
+    assert est.log_value == float.fromhex(log_value)
+    assert est.std_error == float.fromhex(std_error)
+    assert est.evaluations == samples
+    if not prior:
+        # no prior at all: the zero prior's bits
+        bare = integrate_simplex_log(np.array(m, dtype=float), None, spec)
+        assert (bare.log_value.hex(), bare.std_error.hex()) == (
+            est.log_value.hex(), est.std_error.hex())
+
+
 class TestMonteCarlo:
     def test_fixed_seed_is_bit_reproducible(self):
         m = np.array([1.0, 2.0, 3.0])
@@ -987,62 +1046,83 @@ class TestMonteCarlo:
                 hits += 1
         assert hits >= 27
 
-    def test_one_batch_stays_within_its_memory(self):
-        # one full batch of 2^16 points at n = 8: the map and the
-        # Jacobian share one sin/cos pass and fill their arrays in
-        # place (about 20 MB); a fresh array per stage peaks near 27 MB
+    @staticmethod
+    def _one_batch_peak(log_prior):
+        # tracemalloc peak of one full batch of 2^16 points at n = 8,
+        # after a warm-up run
         spec = QuadratureSpec(scheme="monte_carlo", samples=65_536, seed=0)
         m = np.ones(8)
+        integrate_simplex_log(m, log_prior, spec)
+        tracemalloc.start()
+        try:
+            integrate_simplex_log(m, log_prior, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
+    def test_one_batch_stays_within_its_memory(self):
+        # the prior's (count, n) points and the power terms are whole
+        # batch arrays and the map's scratch is per block (about 8 MB);
+        # scratch arrays as large as the batch would peak near 14 MB
         def flat(points):
             return np.zeros(points.shape[0])
 
-        integrate_simplex_log(m, flat, spec)
-        tracemalloc.start()
-        try:
-            integrate_simplex_log(m, flat, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24e6
+        assert self._one_batch_peak(flat) <= 10e6
 
-    # (log_value, std_error) captured from the row-major batch: n = 2
-    # sums one Jacobian term, n = 9 eight, n = 12 eleven and n = 140
-    # more than 128; 1000 samples is one short batch and 200,001 ends in
-    # one. At n = 140 one sample outweighs the rest and std_error
-    # rounds to 0.
-    @pytest.mark.parametrize("m, prior, samples, seed, log_value, std_error", [
-        ([-0.5, 0.0], False, 1000, 0,
-         "0x1.67a528ce25498p-1", "0x1.fda5eae1ab838p-6"),
-        ([1.5, 2.0], True, 200_001, 1,
-         "-0x1.bb7ece458b13cp+1", "0x1.3e9ac849c4338p-14"),
-        ([1, 0, 2, 1, 0, 1, 2, 0, 3], False, 200_001, 3,
-         "-0x1.090e44210c00fp+5", "0x1.8807dc71c9ab9p-50"),
-        ([0.5, -0.5, 0, 2, 1.5, 0, 3, 1, 0], True, 1000, 7,
-         "-0x1.a4fbc9ab6fca0p+4", "0x1.f6e34929c21dbp-39"),
-        ([-0.5, 0, 1.5, 2, 0, 0.5, 3, 1, 0, 2.5, 1, 0], True, 200_001, 11,
-         "-0x1.5e3db65707ddap+5", "0x1.646eb53c1d00bp-64"),
-        ([(i % 5) * 0.5 - 0.5 for i in range(140)], True, 20_000, 2,
-         "-0x1.74fa99254236dp+13", "0x0.0p+0"),
-        ([0.0] * 140, False, 1000, 4,
-         "-0x1.03762d472bc68p+13", "0x0.0p+0"),
-    ])
+    def test_one_batch_without_a_prior_stays_within_its_memory(self):
+        # the map runs on (n, 8192) scratch arrays and only the batch's
+        # log values and squares are whole (about 2.6 MB); scratch
+        # arrays as large as the batch would peak near 14 MB
+        assert self._one_batch_peak(None) <= 4e6
+
+    @pytest.mark.parametrize("m, prior, samples, seed, log_value, std_error", _MC_FROZEN)
     def test_frozen_values(self, m, prior, samples, seed, log_value, std_error):
-        def log_prior(points):
-            if prior:
-                return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
-            return np.zeros(points.shape[0])
+        _check_frozen(m, prior, samples, seed, log_value, std_error)
+
+    # the blocks of a batch split no sum: the same bits at any block
+    # size, one that does not divide the batch and one over it too; the
+    # 7-point blocks only on the 1000-sample cases, to keep this fast
+    @pytest.mark.parametrize("block, case", [
+        pytest.param(block, case, id=f"{block}-{len(case[0])}bins-{case[2]}")
+        for block in (1 << 13, 3000, 1 << 16, 1 << 17, 7)
+        for case in _MC_FROZEN if block != 7 or case[2] == 1000
+    ])
+    def test_the_bits_do_not_depend_on_the_block_size(self, monkeypatch, block, case):
+        monkeypatch.setattr(quadrature, "_MC_BLOCK", block)
+        _check_frozen(*case)
+
+    @pytest.mark.parametrize("block", [1 << 13, 3000])
+    def test_matches_the_per_point_formulas_bitwise(self, monkeypatch, block):
+        # every point's log value, as the reduction gets it, against the
+        # public functions on each batch drawn at once and mapped one
+        # point per row: (Jacobian + box volume) + (power + prior)
+        monkeypatch.setattr(quadrature, "_MC_BLOCK", block)
+        added = []
+
+        class Recording(_LogSumAccumulator):
+            def add(self, log_values):
+                added.append(log_values.copy())
+                super().add(log_values)
+
+        monkeypatch.setattr(quadrature, "_LogSumAccumulator", Recording)
+        m, samples, seed = np.array([1, 2, 3, 0, 2.0]), 150_000, 3
+
+        def log_prior(p):
+            return -7.3 * p[:, 0] + np.log(0.1 + p[:, 1])
 
         spec = QuadratureSpec(scheme="monte_carlo", samples=samples, seed=seed)
-        est = integrate_simplex_log(np.array(m, dtype=float), log_prior, spec)
-        assert est.log_value == float.fromhex(log_value)
-        assert est.std_error == float.fromhex(std_error)
-        assert est.evaluations == samples
-        if not prior:
-            # no prior at all: the zero prior's bits
-            bare = integrate_simplex_log(np.array(m, dtype=float), None, spec)
-            assert (bare.log_value.hex(), bare.std_error.hex()) == (
-                est.log_value.hex(), est.std_error.hex())
+        integrate_simplex_log(m, log_prior, spec)
+        starts = range(0, samples, 1 << 16)
+        assert len(added) == 2 * len(starts)
+        for batch, start in enumerate(starts):
+            key = np.array([seed, batch], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            theta = rng.random((min(1 << 16, samples - start), 4)) * HALF_PI
+            p = angles_to_simplex(theta)
+            logs = (log_jacobian(theta) + 4 * math.log(HALF_PI)) + (
+                power_log_integrand(m)(p) + log_prior(p))
+            assert np.array_equal(added[2 * batch], logs)
+            assert np.array_equal(added[2 * batch + 1], 2.0 * logs)
 
     def test_the_prior_gets_one_point_per_row(self):
         # the batch runs one angle per row; the prior still gets
