@@ -20,12 +20,18 @@ gauss_grid
     kernel K_j (power times Jacobian) are computed once on the axis
     and combined by outer sums and products, in blocks of whole rows
     of at most _CHUNK points (spherical.tensor_grid_blocks); only the
-    prior is evaluated per point. p_1..p_r depend on t_1..t_r alone,
-    so a prior that reads only p_1..p_r (prior_bins = r) couples just
-    the first r axes: the tensor grid covers those, k^r points, and
-    each later axis is one 1-D sum of its factors, (n-1-r) k more.
-    log_prior then gets (count, r+1) points, p_1..p_r and the mass
-    left for bins r+1..n; at r = 0 that is the one point [[1.0]].
+    prior is evaluated per point. Per chunk: the log weights, the
+    prior's values and the points, which every chunk writes into one
+    reused buffer; a per-point power term (power_log_integrand, as
+    compare's plain grid uses it) runs in blocks of _BLOCK points
+    within the chunk. p_1..p_r depend on t_1..t_r alone, so a prior
+    that reads only p_1..p_r (prior_bins = r) couples just the first
+    r axes: the tensor grid covers those, k^r points, and each later
+    axis is one 1-D sum of its factors, (n-1-r) k more. log_prior
+    then gets (count, r+1) points, p_1..p_r and the mass left for
+    bins r+1..n; at r = 0 that is the one point [[1.0]]. The axis
+    rule costs O(k^2) to build, so the budget bounds its k ceil(k/2)
+    recurrence steps too, before it is built.
 monte_carlo
     Uniform sampling of the angle box, weighted by the Jacobian and
     the box volume. Uniform in theta is intentionally NOT uniform on
@@ -35,7 +41,7 @@ monte_carlo
     Philox generator keyed (seed, batch_index), and the reduction
     always runs in batch order, so any future parallel split over
     batches reproduces the serial result bit for bit. Points need
-    nothing from each other, so a batch runs in blocks of _MC_BLOCK
+    nothing from each other, so a batch runs in blocks of _BLOCK
     points that read the Philox stream in order: per block, three
     scratch arrays of n rows, reused throughout the call, hold the
     draws, the angles one per row and the points one bin per row. The
@@ -102,9 +108,9 @@ __all__ = [
 
 _CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
-# points per Monte Carlo block: n rows of this many doubles stay in
-# cache; 4096 was slower at n = 5
-_MC_BLOCK = 1 << 13
+# points per block of a Monte Carlo batch and of power_log_integrand:
+# n rows of this many doubles stay in cache; 4096 was slower at n = 5
+_BLOCK = 1 << 13
 
 
 class IntegralEstimate(namedtuple(
@@ -262,7 +268,9 @@ def power_log_integrand(m):
     The returned function maps points (..., n) to their log values.
     Zero exponents contribute nothing even at p_i = 0 (the 0^0 = 1
     convention), so boundary points do not produce NaNs. The bins are
-    summed in np.sum(axis=-1)'s order, as Monte Carlo sums them.
+    summed in np.sum(axis=-1)'s order, as Monte Carlo sums them, in
+    blocks of at most _BLOCK points, so the scratch is n rows of a
+    block whatever the batch size.
     """
     m = np.asarray(as_exponent_vector(m))
 
@@ -270,7 +278,16 @@ def power_log_integrand(m):
         points = np.asarray(points, dtype=float)
         if points.ndim == 0 or points.shape[-1] != m.size:
             raise ValueError(f"points need {m.size} bins, got shape {points.shape}")
-        return _log_power_rows(m, np.moveaxis(points, -1, 0))
+        # one bin per row, viewed as _log_power_rows views a whole batch
+        rows = np.moveaxis(points, -1, 0).reshape(m.size, -1)
+        count = rows.shape[1]
+        out = np.empty(count)
+        terms = np.empty((m.size, min(count, _BLOCK)))
+        for start in range(0, count, _BLOCK):
+            block = rows[:, start:start + _BLOCK]
+            c = block.shape[1]
+            out[start:start + c] = _log_power_rows(m, block, terms[:, :c])
+        return out.reshape(points.shape[:-1])[()]
 
     return log_f
 
@@ -321,6 +338,15 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
     _check_budget(
         f"gauss_grid with {nodes} nodes on {r} tensor axes of {d}", total, budget
     )
+    # each Newton sweep of the axis rule runs the k-step recurrence on
+    # ceil(k/2) nodes; the budget limits that too, though never below
+    # the default, so a small budget refuses no rule the default builds
+    steps, limit = nodes * ((nodes + 1) // 2), max(budget, DEFAULT_EVAL_BUDGET)
+    if steps > limit:
+        raise IntegrationError(
+            f"the {nodes}-node axis rule needs {steps} recurrence steps, "
+            f"over the limit of {limit}"
+        )
     theta, axis_logs = _axis_factors(m, nodes)
     tail = _axis_log_sums(axis_logs[r:])
     if log_prior is None:
@@ -331,10 +357,13 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
         return head + tail, total
     acc = _LogSumAccumulator()
     # blocks of whole leading-index rows, built from per-axis factors;
-    # with a power-of-two node count they end where the chunks end
+    # with a power-of-two node count they end where the chunks end.
+    # Each block's points reuse one buffer, and its logs are freed
+    # before the next block is built.
     for points, logs in tensor_grid_blocks(theta, axis_logs[:r], _CHUNK):
         logs += _checked_log_values(log_prior, points, points.shape[0])
         acc.add(logs)
+        del logs
     return acc.log_sum + tail, total
 
 
@@ -347,7 +376,7 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
     # points one per row and their power terms; per block: the scratch
     # rows of the map, flat so that a short block is whole rows too
     size = min(samples, _MC_BATCH)
-    block = min(size, _MC_BLOCK)
+    block = min(size, _BLOCK)
     draws, work, points = np.empty(n * block), np.empty(n * block), np.empty(n * block)
     logs, squares = np.empty(size), np.empty(size)
     if log_prior is not None:

@@ -262,9 +262,11 @@ def tensor_grid_blocks(axis, axis_logs, chunk):
     log K_j: the Jacobian is the m = 0 kernel); a point's log weight is
     their sum over its indices. Yields (points, logs) per block: points
     as angles_to_simplex gives them, shape (count, n), and logs a fresh
-    array of count log weights. Given the factors of the first r angles
-    of a longer map only, the points are (count, r+1): p_1..p_r and the
-    mass left for the later bins.
+    array of count log weights. The points are a C-contiguous view of
+    one buffer that every block reuses, valid until the next block is
+    requested; copy them to keep them longer. Given the factors of the
+    first r angles of a longer map only, the points are (count, r+1):
+    p_1..p_r and the mass left for the later bins.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
     computed once on the axis after one range check. The leading
@@ -299,14 +301,20 @@ def tensor_grid_blocks(axis, axis_logs, chunk):
     head_p = head_p.reshape(-1, head)
     head_logs = reduce(np.add.outer, axis_logs[:head], 0.0).ravel()
 
+    # one point buffer for every block: a short last block is its
+    # leading part, so a block is valid until the next one is built
+    buffer = np.empty(min(step, k ** head) * k ** tail * (d + 1))
     for start in range(0, k ** head, step):
         rows = slice(start, start + step)
         count = head_prod[rows].size
-        points = np.empty((count,) + (k,) * tail + (d + 1,))
+        points = buffer[: count * k ** tail * (d + 1)].reshape(
+            (count,) + (k,) * tail + (d + 1,)
+        )
         points[..., :head] = head_p[rows].reshape((count,) + (1,) * tail + (head,))
         points[..., d] = _map_columns(points, head_prod[rows], range(head, d), c2, s2)
-        logs = reduce(np.add.outer, axis_logs[head:], head_logs[rows])
-        yield points.reshape(-1, d + 1), logs.ravel()
+        # no local name: the caller holds the only reference to the logs
+        yield (points.reshape(-1, d + 1),
+               reduce(np.add.outer, axis_logs[head:], head_logs[rows]).ravel())
 
 
 def log_kernel(j, n, m, theta_j):

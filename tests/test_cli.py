@@ -13,6 +13,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -421,6 +422,20 @@ class TestIntegrateCommand:
             -63.99531592592385, rel=1e-13
         )
 
+    def test_a_prior_on_every_bin_is_frozen(self):
+        # the full 32^4 tensor with the power term in the measure; frozen
+        # from a grid that allocated each block's points afresh. The
+        # prior lies in [e^-4, e^-0.8], since sum p_i^2 is in [1/5, 1].
+        report = report_of(run_cli(
+            "integrate", "--counts", "3,1,4,1,5",
+            "--prior", "exp(-4*(p1^2+p2^2+p3^2+p4^2+p5^2))",
+        ))
+        log_value = report["results"]["log_value"]
+        assert log_value == -27.719439624797552
+        assert report["diagnostics"]["evaluations"] == 32 ** 4
+        log_norm = sum(math.lgamma(c + 1) for c in (3, 1, 4, 1, 5)) - math.lgamma(19)
+        assert log_norm - 4.0 < log_value < log_norm - 0.8
+
     def test_division_by_zero_in_prior_exits_3(self):
         result = run_cli("integrate", "--counts", "1,1", "--prior", "1/0")
         assert result.returncode == 3
@@ -596,6 +611,35 @@ class TestCompareCommand:
         assert 0.2 < results["max_relative_deviation"] < 0.4
         # 2 separable axes and 32^2 grid points, plus the oracle's spend
         assert report["diagnostics"]["evaluations"] == 2 * 32 + 32 ** 2 + 240
+
+    @pytest.mark.parametrize("args, log_grid", [
+        (("--counts", "3,3,3,3,3"), -30.381086841059215),
+        # the budget stops the oracle early; the grid's 64^3 points fit
+        (("--counts", "0.5,2,1.5,3", "--nodes", "64"), -12.455605290449842),
+    ], ids=["3,3,3,3,3", "0.5,2,1.5,3 --nodes 64"])
+    def test_the_plain_grid_is_frozen(self, args, log_grid):
+        # the full tensor with the power term per point; frozen from a
+        # grid that allocated each block's points afresh and took the
+        # power term of a whole chunk in one pass
+        report = report_of(run_cli(
+            "compare", *args, env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "2000000"}
+        ))
+        results = report["results"]
+        assert results["log_grid"] == log_grid
+        assert abs(results["log_grid"] - results["log_exact"]) <= 1e-13
+
+    def test_an_oversized_axis_rule_exits_3_at_once(self):
+        # 1e8 evaluations of the one axis fit the budget, but the rule's
+        # O(k^2) build would effectively never end
+        started = time.monotonic()
+        result = run_cli("compare", "--counts", "2,2", "--nodes", "100000000")
+        assert time.monotonic() - started < 20.0
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: the 100000000-node axis rule needs "
+            "5000000000000000 recurrence steps, over the limit of 100000000\n"
+        )
 
     def test_plain_output_is_the_single_deviation_number(self):
         result = run_cli("compare", "--counts", "1,1,1", "--plain")

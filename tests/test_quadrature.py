@@ -34,6 +34,7 @@ from simplexquad import (
 from simplexquad.quadrature import _LogSumAccumulator, _angle_rule
 from simplexquad.spherical import (
     HALF_PI,
+    _log_power_rows,
     angles_to_simplex,
     log_jacobian,
     log_kernel,
@@ -322,6 +323,34 @@ class TestEvalBudget:
         with pytest.raises(IntegrationError, match="budget"):
             integrate_simplex_log(np.zeros(3), power_log_integrand(m), spec_big)
 
+    def test_an_oversized_axis_rule_is_refused_before_it_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(quadrature, "_axis_factors", built)
+
+        def run(nodes, budget=None):
+            spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+            integrate_separable([1, 2], spec, budget)
+
+        # one axis of 14143 evaluations fits the default budget, but the
+        # rule's 14143 * 7072 recurrence steps do not
+        with pytest.raises(IntegrationError, match=(
+            "^the 14143-node axis rule needs 100019296 recurrence steps, "
+            "over the limit of 100000000$"
+        )):
+            run(14143)
+        # the evaluation count is checked first, with its own message
+        with pytest.raises(IntegrationError, match="needs 100000001 evaluations"):
+            run(10 ** 8 + 1)
+        # 14142 * 7071 = 99998082 steps fit; a larger budget allows more
+        for nodes, budget in ((14142, None), (14143, 2 * 10 ** 8)):
+            with pytest.raises(Built):
+                run(nodes, budget)
+
     def test_oracle_budget_exhaustion(self):
         spec = QuadratureSpec(scheme="nested_oracle", rel_tol=1e-10)
         with pytest.raises(IntegrationError, match="budget"):
@@ -527,6 +556,42 @@ class TestFactoredGrid:
         if nodes & (nodes - 1) == 0:
             # power-of-two nodes: blocks end where the chunks end
             assert all(size == chunk for size in sizes[:-1])
+
+
+class TestFullTensorGrid:
+    """compare's plain grid: the power term evaluated per point on all
+    k^(n-1) points. Its bits and its memory are pinned."""
+
+    @pytest.mark.parametrize("m, nodes, log_value", [
+        ([3.0] * 5, 32, "-0x1.e618ee83f4908p+4"),
+        ([0.5, 2.0, 1.5, 3.0], 64, "-0x1.8e94518bcbbbap+3"),
+    ])
+    def test_frozen_values(self, m, nodes, log_value):
+        # frozen from a grid that allocated each block's points afresh
+        # and took the power term of a whole chunk in one pass
+        m = np.array(m)
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        est = integrate_simplex_log(np.zeros(m.size), power_log_integrand(m), spec)
+        assert est.log_value == float.fromhex(log_value)
+        assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-13
+        assert est.evaluations == nodes ** (m.size - 1)
+
+    def test_one_grid_stays_within_its_memory(self):
+        # four 2^18-point chunks at n = 5: one (2^18, 5) point buffer
+        # (10.5 MB), a chunk's log weights and power term, and the
+        # power term's (5, 8192) scratch, about 15 MB. A second point
+        # block alive, or a chunk-wide (5, 2^18) scratch, adds 10.5 MB.
+        m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
+        log_f = power_log_integrand(m)
+        integrate_simplex_log(np.zeros(5), log_f, spec)
+        tracemalloc.start()
+        try:
+            integrate_simplex_log(np.zeros(5), log_f, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
 
 def _second_last_log_prior(points):
@@ -1088,7 +1153,7 @@ class TestMonteCarlo:
         for case in _MC_FROZEN if block != 7 or case[2] == 1000
     ])
     def test_the_bits_do_not_depend_on_the_block_size(self, monkeypatch, block, case):
-        monkeypatch.setattr(quadrature, "_MC_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
         _check_frozen(*case)
 
     @pytest.mark.parametrize("block", [1 << 13, 3000])
@@ -1096,7 +1161,7 @@ class TestMonteCarlo:
         # every point's log value, as the reduction gets it, against the
         # public functions on each batch drawn at once and mapped one
         # point per row: (Jacobian + box volume) + (power + prior)
-        monkeypatch.setattr(quadrature, "_MC_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
         added = []
 
         class Recording(_LogSumAccumulator):
@@ -1195,6 +1260,36 @@ class TestPowerLogIntegrand:
             assert type(got) is type(expected)
             assert np.shape(got) == shape[:-1]
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("shape, transposed", [
+        ((20_000, 5), False),  # two whole blocks and a partial one
+        ((3, 10_000, 5), False),  # leading axes flattened across blocks
+        ((20_000, 5), True),  # a transposed view: one bin per row
+        ((0, 5), False),
+        ((5,), False),  # one point: a numpy scalar
+    ])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, block,
+                                              shape, transposed):
+        # the power term runs in blocks of at most _BLOCK points; each
+        # point's sum is that of the whole batch in one pass
+        if block is not None:
+            monkeypatch.setattr(quadrature, "_BLOCK", block)
+        rng = np.random.default_rng(21)
+        m = np.array([0.0, 2.5, 1.0, 0.0, 7.0])
+        points = rng.uniform(0.0, 1.0, shape)
+        # zero coordinates under a zero and a nonzero exponent
+        rows = points.reshape(-1, 5)
+        rows[::2, 0] = 0.0
+        rows[::3, 4] = 0.0
+        if transposed:
+            points = np.ascontiguousarray(points.T).T
+            assert not points.flags.c_contiguous
+        expected = _log_power_rows(m, np.moveaxis(points, -1, 0))
+        got = power_log_integrand(m)(points)
+        assert type(got) is type(expected)
+        assert np.shape(got) == points.shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     @pytest.mark.parametrize("shape", [(5, 1), (1,), (5, 3), (5, 5), ()])
     def test_points_need_one_coordinate_per_bin(self, shape):
