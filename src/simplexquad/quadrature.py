@@ -18,20 +18,23 @@ gauss_grid
     unmapped rule ([-0.5, 0.3, 2.7, 1.1]: 2.9e-7 at 32 nodes, 3.0e-8
     at 64). The grid is built from per-axis factors: weights, map and
     kernel K_j (power times Jacobian) are computed once on the axis
-    and combined by outer sums and products, in blocks of whole rows
-    of at most _CHUNK points (spherical.tensor_grid_blocks); only the
-    prior is evaluated per point. Per chunk: the log weights, the
-    prior's values and the points, which every chunk writes into one
-    reused buffer; a per-point power term (power_log_integrand, as
-    compare's plain grid uses it) runs in blocks of _BLOCK points
-    within the chunk. p_1..p_r depend on t_1..t_r alone, so a prior
-    that reads only p_1..p_r (prior_bins = r) couples just the first
-    r axes: the tensor grid covers those, k^r points, and each later
-    axis is one 1-D sum of its factors, (n-1-r) k more. log_prior
-    then gets (count, r+1) points, p_1..p_r and the mass left for
-    bins r+1..n; at r = 0 that is the one point [[1.0]]. The axis
-    rule costs O(k^2) to build, so the budget bounds its k ceil(k/2)
-    recurrence steps too, before it is built.
+    and combined by outer sums and products
+    (spherical.tensor_grid_blocks); only the prior is evaluated per
+    point. The log weights come in chunks of whole rows of at most
+    _CHUNK points, the unit of the log-sum reduction; the prior gets
+    each chunk's points in blocks of at most _BLOCK, which every block
+    writes into one reused buffer, and its values are added into the
+    chunk's log weights block by block. A chunk's log weights are the
+    one array of its size; a per-point power term
+    (power_log_integrand, as compare's plain grid uses it) runs within
+    a block. p_1..p_r depend on t_1..t_r alone, so a prior that reads
+    only p_1..p_r (prior_bins = r) couples just the first r axes: the
+    tensor grid covers those, k^r points, and each later axis is one
+    1-D sum of its factors, (n-1-r) k more. log_prior then gets
+    (count, r+1) points, p_1..p_r and the mass left for bins r+1..n;
+    at r = 0 that is the one point [[1.0]]. The axis rule costs
+    O(k^2) to build, so the budget bounds its k ceil(k/2) recurrence
+    steps too, before it is built.
 monte_carlo
     Uniform sampling of the angle box, weighted by the Jacobian and
     the box volume. Uniform in theta is intentionally NOT uniform on
@@ -49,9 +52,10 @@ monte_carlo
     rows (spherical._map_rows and _log_power_rows), and their sums
     over angles and bins keep np.sum's pairwise order, so they equal
     angles_to_simplex, log_jacobian and power_log_integrand bit for
-    bit. Per batch: the log values and their squares, reduced once,
-    and with a prior the points one per row and the power terms; the
-    prior gets those points in one call, as elsewhere.
+    bit. Per batch: the log values and their squares, reduced once. A
+    prior gets each block's points one per row, as elsewhere, in one
+    call per block, and its values are added to the block's power
+    terms.
 nested_oracle
     Brute-force iterated integration in raw p coordinates (see the
     oracle module). Kept free of any shared code with the angle-based
@@ -106,10 +110,13 @@ __all__ = [
     "nested_oracle",
 ]
 
+# points per chunk of the full tensor grid's log weights, the unit of
+# its log-sum reduction
 _CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
-# points per block of a Monte Carlo batch and of power_log_integrand:
-# n rows of this many doubles stay in cache; 4096 was slower at n = 5
+# points per block of a Monte Carlo batch, of the grid's points and of
+# power_log_integrand: n rows of this many doubles stay in cache; 4096
+# was slower at n = 5
 _BLOCK = 1 << 13
 
 
@@ -356,14 +363,16 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
         head = float(_checked_log_values(log_prior, np.ones((1, 1)), 1)[0])
         return head + tail, total
     acc = _LogSumAccumulator()
-    # blocks of whole leading-index rows, built from per-axis factors;
-    # with a power-of-two node count they end where the chunks end.
-    # Each block's points reuse one buffer, and its logs are freed
-    # before the next block is built.
-    for points, logs in tensor_grid_blocks(theta, axis_logs[:r], _CHUNK):
-        logs += _checked_log_values(log_prior, points, points.shape[0])
+    # chunks of whole leading-index rows, built from per-axis factors;
+    # with a power-of-two node count they are exactly _CHUNK points.
+    # The prior gets each chunk's points in blocks of at most _BLOCK,
+    # written into one reused buffer, and its values go into the
+    # chunk's log weights, which are freed before the next chunk's
+    for logs, blocks in tensor_grid_blocks(theta, axis_logs[:r], _CHUNK, _BLOCK):
+        for points, block_logs in blocks:
+            block_logs += _checked_log_values(log_prior, points, points.shape[0])
         acc.add(logs)
-        del logs
+        del logs, block_logs
     return acc.log_sum + tail, total
 
 
@@ -372,15 +381,12 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
     n = m.size
     d = n - 1
     log_cube = d * math.log(HALF_PI)
-    # per batch: its log values and squares, and with a prior its
-    # points one per row and their power terms; per block: the scratch
+    # per batch: its log values and squares; per block: the scratch
     # rows of the map, flat so that a short block is whole rows too
     size = min(samples, _MC_BATCH)
     block = min(size, _BLOCK)
     draws, work, points = np.empty(n * block), np.empty(n * block), np.empty(n * block)
     logs, squares = np.empty(size), np.empty(size)
-    if log_prior is not None:
-        by_point, powers = np.empty((size, n)), np.empty(size)
 
     # two's-complement fold of the signed seed into the uint64 key word
     key_word = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -409,17 +415,13 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
             _map_rows(theta, draws[: d * c].reshape(d, c), by_bin, block_logs)
             block_logs += log_cube
             power = _log_power_rows(m, by_bin, work[: n * c].reshape(n, c))
-            if log_prior is None:
-                block_logs += power
-            else:
-                np.copyto(by_point[start:start + c], by_bin.T)
-                powers[start:start + c] = power
-        if log_prior is not None:
-            # the prior gets one point per row, as the other schemes give
-            # it, once per batch; its add keeps the order (power + prior)
-            power = powers[:count]
-            power += _checked_log_values(log_prior, by_point[:count], count)
-            batch_logs += power
+            if log_prior is not None:
+                # the prior gets one point per row, as the other schemes
+                # give it, in the draws' scratch that the map is done with
+                by_point = draws[: n * c].reshape(c, n)
+                np.copyto(by_point, by_bin.T)
+                power += _checked_log_values(log_prior, by_point, c)
+            block_logs += power
         batch_squares = np.multiply(2.0, batch_logs, out=squares[:count])
         acc_mean.add(batch_logs)
         acc_square.add(batch_squares)
@@ -455,7 +457,10 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
     zero prior's bits, and gauss_grid is n-1 one-axis sums, (n-1) k
     evaluations for k nodes per axis (integrate_separable). gauss_grid
     folds the power into its per-axis factors, nested_oracle into its
-    nesting, and monte_carlo adds it to log_prior per point. This is the
+    nesting, and monte_carlo adds it to log_prior per point. log_prior
+    gets at most _BLOCK (8192) points per call on gauss_grid (one row
+    of the grid, if a single axis has more nodes) and on monte_carlo,
+    and 15 on nested_oracle. This is the
     one integration core: every scheme and the command line come through
     here, so the shape, NaN and +inf checks on prior values hold on
     every route.

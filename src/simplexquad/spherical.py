@@ -253,68 +253,103 @@ def _map_columns(out, prod, columns, c2, s2):
     return prod
 
 
-def tensor_grid_blocks(axis, axis_logs, chunk):
-    """Points and log weights of the tensor grid axis^(n-1), in blocks.
+def _rows_and_tail(k, d, size):
+    # the trailing axes of a block of at most size points on k^d, as
+    # many as fit but at least one when d > 1, and the whole rows of
+    # the leading axes per block: over size only if one axis is
+    tail = min(1, d - 1)
+    while tail < d - 1 and k ** (tail + 1) <= size:
+        tail += 1
+    return tail, max(size // k ** tail, 1)
+
+
+def tensor_grid_blocks(axis, axis_logs, chunk, block):
+    """Points and log weights of the tensor grid axis^(n-1), in chunks.
 
     Every angle takes its nodes from the 1-D axis, so the points are the
     index tuples (i_1, ..., i_{n-1}) in C order. axis_logs holds one
     array of per-node log factors per angle (for prod p^m dp, log w +
     log K_j: the Jacobian is the m = 0 kernel); a point's log weight is
-    their sum over its indices. Yields (points, logs) per block: points
-    as angles_to_simplex gives them, shape (count, n), and logs a fresh
-    array of count log weights. The points are a C-contiguous view of
+    their sum over its indices. Yields (logs, blocks) per chunk: logs a
+    fresh array of the chunk's log weights, and blocks an iterator over
+    the chunk in C order of (points, block_logs): points as
+    angles_to_simplex gives them, shape (count, n), and block_logs the
+    view of logs at those points. The points are a C-contiguous view of
     one buffer that every block reuses, valid until the next block is
-    requested; copy them to keep them longer. Given the factors of the
-    first r angles of a longer map only, the points are (count, r+1):
-    p_1..p_r and the mass left for the later bins.
+    requested. Given the factors of the first r angles of a longer map
+    only, the points are (count, r+1): p_1..p_r and the mass left for
+    the later bins.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
     computed once on the axis after one range check. The leading
     indices are flattened into rows, with their partial sums and
-    products kept per row; a block is a run of whole rows times every
+    products kept per row; a chunk is a run of whole rows times every
     trailing index, filled in by outer sums and products. The trailing
     axes are as many as fit in a chunk, but at least one when n > 2, so
-    a block exceeds chunk points only if one axis does.
+    a chunk exceeds chunk points only if one axis does. A block splits
+    its chunk the same way with at most block points, and the last
+    block of a chunk is short where the rows do not divide evenly.
 
-    Sums and products run left to right over the angles: the map equals
-    angles_to_simplex bit for bit, and each log weight is the
-    left-to-right sum of its per-axis terms.
+    Sums and products run left to right over the angles, whatever the
+    split: the map equals angles_to_simplex bit for bit, and each log
+    weight is the left-to-right sum of its per-axis terms.
     """
     axis = np.asarray(axis, dtype=float)
     _check_angle_range(axis)
     k = axis.size
     d = len(axis_logs)
-    tail = min(1, d - 1)
-    while tail < d - 1 and k ** (tail + 1) <= chunk:
-        tail += 1
-    head = d - tail
-    step = max(chunk // k ** tail, 1)
+    tail, step = _rows_and_tail(k, d, chunk)
+    # a block's trailing axes: never more than a chunk's
+    block_tail, block_step = _rows_and_tail(k, d, min(block, chunk))
+    head, mid = d - tail, tail - block_tail
     s2 = np.square(np.sin(axis))
     c2 = np.square(np.cos(axis))
 
     # per row: p_1..p_head, the product of sin^2 over the head axes and
     # the head part of the log weight; reduce(np.add.outer, ...) adds
     # left to right and gives each array its own axis. Starting from
-    # 0.0 keeps a block's logs off the caller's arrays when n = 2.
+    # 0.0 keeps a chunk's logs off the caller's arrays when n = 2.
     head_p = np.empty((k,) * head + (head,))
     head_prod = _map_columns(head_p, 1.0, range(head), c2, s2).ravel()
     head_p = head_p.reshape(-1, head)
     head_logs = reduce(np.add.outer, axis_logs[:head], 0.0).ravel()
 
-    # one point buffer for every block: a short last block is its
-    # leading part, so a block is valid until the next one is built
-    buffer = np.empty(min(step, k ** head) * k ** tail * (d + 1))
+    # one point buffer for every block: a short block is its leading
+    # part, so a block is valid until the next one is built
+    rows_per_chunk = min(step, k ** head) * k ** mid
+    width = k ** block_tail
+    buffer = np.empty(min(block_step, rows_per_chunk) * width * (d + 1))
+
+    def blocks(logs, rows):
+        # a chunk's rows of the first head + mid axes, each with its
+        # p_1..p_{head+mid} and product of sin^2, then its blocks
+        count = head_prod[rows].size
+        row_p = np.empty((count,) + (k,) * mid + (head + mid,))
+        row_p[..., :head] = head_p[rows].reshape((count,) + (1,) * mid + (head,))
+        row_prod = _map_columns(row_p, head_prod[rows], range(head, head + mid),
+                                c2, s2).ravel()
+        row_p = row_p.reshape(-1, head + mid)
+        for start in range(0, row_prod.size, block_step):
+            part = slice(start, start + block_step)
+            c = row_prod[part].size
+            points = buffer[: c * width * (d + 1)].reshape(
+                (c,) + (k,) * block_tail + (d + 1,)
+            )
+            points[..., :head + mid] = row_p[part].reshape(
+                (c,) + (1,) * block_tail + (head + mid,)
+            )
+            points[..., d] = _map_columns(
+                points, row_prod[part], range(head + mid, d), c2, s2
+            )
+            yield points.reshape(-1, d + 1), logs[start * width:(start + c) * width]
+
     for start in range(0, k ** head, step):
         rows = slice(start, start + step)
-        count = head_prod[rows].size
-        points = buffer[: count * k ** tail * (d + 1)].reshape(
-            (count,) + (k,) * tail + (d + 1,)
-        )
-        points[..., :head] = head_p[rows].reshape((count,) + (1,) * tail + (head,))
-        points[..., d] = _map_columns(points, head_prod[rows], range(head, d), c2, s2)
-        # no local name: the caller holds the only reference to the logs
-        yield (points.reshape(-1, d + 1),
-               reduce(np.add.outer, axis_logs[head:], head_logs[rows]).ravel())
+        logs = reduce(np.add.outer, axis_logs[head:], head_logs[rows]).ravel()
+        yield logs, blocks(logs, rows)
+        # the caller and the finished blocks then hold no reference, so
+        # the logs are freed before the next chunk's are made
+        del logs
 
 
 def log_kernel(j, n, m, theta_j):

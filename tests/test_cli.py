@@ -396,6 +396,17 @@ class TestIntegrateCommand:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    def test_the_first_block_with_a_fault_names_it(self):
+        # the log fails for p1 > 0.9, the power for p1 < 0.05; C order
+        # starts at p1 near 1, so the first block of 8192 points holds
+        # only the log's fault, though the first 16,384-point chunk
+        # holds both, and one call that holds both reports the power
+        result = run_cli("integrate", "--counts", "1,1,1", "--nodes", "128",
+                         "--prior", "log(0.9-p1)*(p1-0.05)^0.5+0*p3")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "numerical failure: log of a non-positive value\n"
+
     def test_negative_constant_prior_exits_3(self):
         # a prior that reads no bin is evaluated once, and still checked
         result = run_cli("integrate", "--counts", "1,2,0,3", "--prior", "0 - 1")

@@ -435,16 +435,28 @@ class TestGaussGrid:
             )
 
 
+def _peak_of_second_run(m, log_prior, spec):
+    # tracemalloc peak of an integral, after a warm-up run
+    integrate_simplex_log(m, log_prior, spec)
+    tracemalloc.start()
+    try:
+        integrate_simplex_log(m, log_prior, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _tilted_log_prior(points):
     # the prior exp(-2 p1) (1 + p2^2): it does not separate into
     # per-angle factors
     return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
 
 
-def _grid_and_reference(m, nodes, chunk):
-    # each block of the factored grid beside the per-point map and the
-    # per-axis terms log w + log K_j of the same points, taken in C
-    # order as one batch and summed per point
+def _grid_and_reference(m, nodes, chunk, block):
+    # each chunk of the factored grid, its blocks' points gathered, beside
+    # the per-point map and the per-axis terms log w + log K_j of the
+    # same points, taken in C order as one batch and summed per point;
+    # the blocks must be the chunk's log weights in order, each once
     n = m.size
     theta, axis_logs = quadrature._axis_factors(m, nodes)
     _, log_w = _angle_rule(nodes)
@@ -452,16 +464,68 @@ def _grid_and_reference(m, nodes, chunk):
         np.indices((nodes,) * (n - 1)).reshape(n - 1, -1).T
     )
     start = 0
-    for points, logs in tensor_grid_blocks(theta, axis_logs, chunk):
-        rows = index[start:start + points.shape[0]]
-        start += points.shape[0]
+    for logs, blocks in tensor_grid_blocks(theta, axis_logs, chunk, block):
+        gathered, offset = [], 0
+        for points, block_logs in blocks:
+            assert points.shape == (block_logs.size, n)
+            assert block_logs.ctypes.data == logs[offset:].ctypes.data
+            gathered.append(points.copy())
+            offset += block_logs.size
+        assert offset == logs.size
+        rows = index[start:start + logs.size]
+        start += logs.size
         th = theta[rows]
         terms = np.stack(
             [log_kernel(j, n, m, th[:, j - 1]) for j in range(1, n)], axis=1
         )
         reference = np.sum(log_w[rows] + terms, axis=1)
-        yield points, logs, angles_to_simplex(th), reference
+        yield np.concatenate(gathered), logs, angles_to_simplex(th), reference
     assert start == nodes ** (n - 1)
+
+
+# the chunk sizes _LogSumAccumulator.add got from a grid that handed the
+# prior whole chunks, by (n, nodes, _CHUNK)
+_CHUNK_SIZES = {
+    (2, 33, 300): [33],
+    (4, 24, 300): [288] * 48,
+    (5, 9, 300): [243] * 27,
+    (5, 32, 1 << 18): [1 << 18] * 4,
+    (4, 64, 1 << 18): [1 << 18],
+    (6, 7, 1 << 10): [686] * 24 + [343],
+}
+
+
+def _prior_calls_and_chunks(monkeypatch, n, nodes):
+    # the sizes of the prior's calls and of the reduction's chunks on a
+    # full grid; each call's points are checked against the per-point
+    # map of the next points in C order, so the calls cover the grid
+    # once, in order
+    theta, _ = _angle_rule(nodes)
+    calls, chunks = [], []
+
+    def log_f(points):
+        start = sum(calls)
+        index = np.unravel_index(
+            np.arange(start, start + points.shape[0]), (nodes,) * (n - 1)
+        )
+        assert np.array_equal(points, angles_to_simplex(np.stack(
+            [theta[i] for i in index], axis=1
+        )))
+        calls.append(points.shape[0])
+        return np.zeros(points.shape[0])
+
+    class Recording(_LogSumAccumulator):
+        def add(self, log_values):
+            chunks.append(log_values.size)
+            super().add(log_values)
+
+    monkeypatch.setattr(quadrature, "_LogSumAccumulator", Recording)
+    spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+    est = integrate_simplex_log(np.zeros(n), log_f, spec)
+    assert sum(calls) == sum(chunks) == nodes ** (n - 1) == est.evaluations
+    # no call crosses the end of a chunk
+    assert set(np.cumsum(chunks)) <= set(np.cumsum(calls))
+    return calls, chunks
 
 
 class TestFactoredGrid:
@@ -477,31 +541,34 @@ class TestFactoredGrid:
         if nodes ** (n - 1) <= 400_000
     ])
     def test_matches_the_per_point_reference_bitwise(self, monkeypatch, n, nodes):
-        # a few hundred points per block: several blocks, the last one
-        # partial for most cases
+        # a few hundred points per chunk: several chunks, the last one
+        # partial for most cases; blocks of the whole chunk, and of at
+        # most 50 points, which split most chunks unevenly
         chunk = 300
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-        # flat counts, then real and half-integer counts, some near -1
-        for m in (np.zeros(n), np.linspace(0.0, 2.5, n),
-                  np.resize([-0.999, 0.5, 10.0, 0.0, -0.5], n)):
-            acc = _LogSumAccumulator()
-            for points, logs, ref_points, ref_logs in _grid_and_reference(
-                m, nodes, chunk
-            ):
-                assert np.array_equal(points, ref_points)
-                assert np.array_equal(logs, ref_logs)
-                acc.add(ref_logs + _tilted_log_prior(ref_points))
+        for block in (chunk, 50):
+            monkeypatch.setattr(quadrature, "_BLOCK", block)
+            # flat counts, then real and half-integer counts, some near -1
+            for m in (np.zeros(n), np.linspace(0.0, 2.5, n),
+                      np.resize([-0.999, 0.5, 10.0, 0.0, -0.5], n)):
+                acc = _LogSumAccumulator()
+                for points, logs, ref_points, ref_logs in _grid_and_reference(
+                    m, nodes, chunk, block
+                ):
+                    assert np.array_equal(points, ref_points)
+                    assert np.array_equal(logs, ref_logs)
+                    acc.add(ref_logs + _tilted_log_prior(ref_points))
 
-            est = integrate_simplex_log(m, _tilted_log_prior, spec)
-            assert est.log_value == acc.log_sum
+                est = integrate_simplex_log(m, _tilted_log_prior, spec)
+                assert est.log_value == acc.log_sum
 
     def test_nine_bins_agree_with_the_per_point_sums_to_roundoff(self):
         # np.sum pairs eight or more terms per point, while the grid
         # adds them left to right; the map's products stay bitwise
         m = np.linspace(0.0, 2.5, 9)
         for points, logs, ref_points, ref_logs in _grid_and_reference(
-            m, 4, 1 << 18
+            m, 4, 1 << 18, 1 << 13
         ):
             assert np.array_equal(points, ref_points)
             np.testing.assert_allclose(
@@ -542,20 +609,32 @@ class TestFactoredGrid:
         (6, 7, 1 << 10),
     ])
     def test_batches_stay_within_a_chunk(self, monkeypatch, n, nodes, chunk):
+        # the prior gets blocks of at most _BLOCK points, the reduction
+        # the chunks it got when the prior saw whole chunks
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        sizes = []
+        calls, chunks = _prior_calls_and_chunks(monkeypatch, n, nodes)
+        assert max(calls) <= min(quadrature._BLOCK, chunk)
+        assert chunks == _CHUNK_SIZES[n, nodes, chunk]
 
-        def log_f(points):
-            sizes.append(points.shape[0])
-            return np.zeros(points.shape[0])
-
-        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-        est = integrate_simplex_log(np.zeros(n), log_f, spec)
-        assert max(sizes) <= chunk
-        assert sum(sizes) == nodes ** (n - 1) == est.evaluations
-        if nodes & (nodes - 1) == 0:
-            # power-of-two nodes: blocks end where the chunks end
-            assert all(size == chunk for size in sizes[:-1])
+    @pytest.mark.parametrize("n, nodes, chunk, block, calls", [
+        # 12 rows of 24 per chunk, blocks of 5 rows: blocks of 5 rows
+        # taken straight across the grid would cross four chunk ends in
+        # five
+        (4, 24, 300, 120, [120, 120, 48] * 48),
+        # 3 rows of 81 per chunk, blocks of whole rows of 9
+        (5, 9, 300, 50, ([45] * 5 + [18]) * 27),
+        # a single axis of 33 nodes, wider than the block
+        (3, 33, 300, 20, [33] * 33),
+        (2, 33, 300, 20, [20, 13]),
+    ])
+    def test_blocks_end_where_their_chunk_ends(
+        self, monkeypatch, n, nodes, chunk, block, calls
+    ):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        got, chunks = _prior_calls_and_chunks(monkeypatch, n, nodes)
+        assert got == calls
+        assert max(chunks) <= chunk
 
 
 class TestFullTensorGrid:
@@ -576,22 +655,32 @@ class TestFullTensorGrid:
         assert log_rel_gap(est.log_value, log_norm_integral(m)) <= 1e-13
         assert est.evaluations == nodes ** (m.size - 1)
 
-    def test_one_grid_stays_within_its_memory(self):
-        # four 2^18-point chunks at n = 5: one (2^18, 5) point buffer
-        # (10.5 MB), a chunk's log weights and power term, and the
-        # power term's (5, 8192) scratch, about 15 MB. A second point
-        # block alive, or a chunk-wide (5, 2^18) scratch, adds 10.5 MB.
-        m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+    @staticmethod
+    def _grid_peak(m, log_f):
+        # the 32^4 grid at n = 5
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=32)
-        log_f = power_log_integrand(m)
-        integrate_simplex_log(np.zeros(5), log_f, spec)
-        tracemalloc.start()
-        try:
-            integrate_simplex_log(np.zeros(5), log_f, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 18e6
+        return _peak_of_second_run(m, log_f, spec)
+
+    def test_one_grid_stays_within_its_memory(self):
+        # four 2^18-point chunks: a chunk's log weights (2.1 MB), and per
+        # block of 8192 points the (8192, 5) point buffer, the power
+        # term's (5, 8192) scratch and its values, about 2.9 MB in all.
+        # A second chunk's log weights alive adds 2.1 MB, points or
+        # power terms of a whole chunk 10.5 MB.
+        m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        assert self._grid_peak(np.zeros(5), power_log_integrand(m)) <= 4e6
+
+    def test_a_prior_on_every_bin_stays_within_its_memory(self):
+        # the command line's prior on the same 32^4 points, the power
+        # term in the measure: the expression's temporaries are a
+        # block's 8192 values each, about 3.0 MB in all; on whole
+        # chunks they alone would be several 2.1 MB arrays
+        from simplexquad import cli
+
+        cli._bind_numerics()
+        log_prior = cli._log_prior(cli.parse("exp(-4*(p1^2+p2^2+p3^2+p4^2+p5^2))"))
+        m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        assert self._grid_peak(m, log_prior) <= 4e6
 
 
 def _second_last_log_prior(points):
@@ -1113,26 +1202,19 @@ class TestMonteCarlo:
 
     @staticmethod
     def _one_batch_peak(log_prior):
-        # tracemalloc peak of one full batch of 2^16 points at n = 8,
-        # after a warm-up run
+        # one full batch of 2^16 points at n = 8
         spec = QuadratureSpec(scheme="monte_carlo", samples=65_536, seed=0)
-        m = np.ones(8)
-        integrate_simplex_log(m, log_prior, spec)
-        tracemalloc.start()
-        try:
-            integrate_simplex_log(m, log_prior, spec)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _peak_of_second_run(np.ones(8), log_prior, spec)
 
     def test_one_batch_stays_within_its_memory(self):
-        # the prior's (count, n) points and the power terms are whole
-        # batch arrays and the map's scratch is per block (about 8 MB);
-        # scratch arrays as large as the batch would peak near 14 MB
+        # the prior gets each block's (8192, n) points in the map's
+        # scratch, so only the batch's log values and squares are whole
+        # (about 2.7 MB); the prior's points and power terms of a whole
+        # batch would add 4.7 MB
         def flat(points):
             return np.zeros(points.shape[0])
 
-        assert self._one_batch_peak(flat) <= 10e6
+        assert self._one_batch_peak(flat) <= 4e6
 
     def test_one_batch_without_a_prior_stays_within_its_memory(self):
         # the map runs on (n, 8192) scratch arrays and only the batch's
@@ -1191,7 +1273,8 @@ class TestMonteCarlo:
 
     def test_the_prior_gets_one_point_per_row(self):
         # the batch runs one angle per row; the prior still gets
-        # C-contiguous (count, n) points, the short last batch too
+        # C-contiguous (count, n) points, one block of at most _BLOCK
+        # per call, the short last batch too
         shapes = []
 
         def log_prior(points):
@@ -1202,7 +1285,7 @@ class TestMonteCarlo:
 
         spec = QuadratureSpec(scheme="monte_carlo", samples=200_001, seed=0)
         integrate_simplex_log(np.ones(3), log_prior, spec)
-        assert shapes == [(65_536, 3)] * 3 + [(3393, 3)]
+        assert shapes == [(8192, 3)] * 24 + [(3393, 3)]
 
     def test_an_overflowing_std_error_is_inf(self):
         # e^800 times the integral of p1 p2, 1/6: the log value fits in a
