@@ -166,6 +166,10 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
         whole-interval estimate.
     max_evaluations : int
         Hard cap on evaluations, charged 15 per pass at every level.
+        For n >= 3 the first outer pass is predicted from its first
+        node: if 15 times what that node's inner integration cost
+        exceeds the evaluations left, IntegrationError is raised then,
+        not once the budget is spent.
 
     Returns
     -------
@@ -190,6 +194,7 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
     # p^m_i is p ** m_i for p > 0; a base of 0 gives zero[i], so that
     # 0^0 = 1 (a zero exponent removes the factor)
     zero = [1.0 if v == 0.0 else 0.0 for v in m]
+    predicted = False  # whether the first outer pass's cost was predicted
 
     def level(factor, prefix, remaining, k):
         # factor is the product of the outer powers and prefix the outer
@@ -221,9 +226,25 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
             return _integrate(inner, 0.0, remaining, rel_tol, budget)
 
         def outer(points):
-            return [level(factor * (p ** mk if p > 0.0 else zk), prefix + [p],
-                          remaining - p, k + 1)
-                    for p in points]
+            nonlocal predicted
+            values = []
+            for p in points:
+                left = budget.remaining
+                values.append(level(factor * (p ** mk if p > 0.0 else zk),
+                                    prefix + [p], remaining - p, k + 1))
+                if k == 0 and not predicted:
+                    # fail fast: the first outer pass has 15 nodes, each
+                    # about as dear as the first one's inner subproblem
+                    predicted = True
+                    need = 15 * (left - budget.remaining)
+                    if need > budget.remaining:
+                        raise IntegrationError(
+                            f"nested integration would need about {need} "
+                            "evaluations for its first outer pass, over the "
+                            f"{budget.remaining} left of its budget of "
+                            f"{max_evaluations}"
+                        )
+            return values
         return _integrate(outer, 0.0, remaining, rel_tol, budget)
 
     try:

@@ -18,14 +18,16 @@ gauss_grid
     unmapped rule ([-0.5, 0.3, 2.7, 1.1]: 2.9e-7 at 32 nodes, 3.0e-8
     at 64). The grid is built from per-axis factors: weights, map and
     kernel K_j (power times Jacobian) are computed once on the axis
-    and combined by outer sums and products
     (spherical.tensor_grid_blocks); only the prior is evaluated per
-    point. The log weights come in chunks of whole rows of at most
-    _CHUNK points, the unit of the log-sum reduction; the prior gets
-    each chunk's points in blocks of at most _BLOCK, which every block
-    writes into one reused buffer, and its values are added into the
-    chunk's log weights block by block. A chunk's log weights are the
-    one array of its size; a per-point power term
+    point. The log weights come in chunks of at most _CHUNK points, the
+    unit of the log-sum reduction, and the prior gets each chunk's
+    points in blocks of at most _BLOCK. Both follow one rule: a run of
+    whole rows in C order, a row's leading angles gathered by index and
+    its trailing axes combined by outer sums (log weights) and outer
+    products (points). Every block is written into one reused
+    buffer, and its prior values are added into the chunk's log
+    weights block by block. A chunk's log weights are the one array
+    of its size; a per-point power term
     (power_log_integrand, as compare's plain grid uses it) runs within
     a block. p_1..p_r depend on t_1..t_r alone, so a prior that reads
     only p_1..p_r (prior_bins = r) couples just the first r axes: the

@@ -254,9 +254,9 @@ def _map_columns(out, prod, columns, c2, s2):
 
 
 def _rows_and_tail(k, d, size):
-    # the trailing axes of a block of at most size points on k^d, as
-    # many as fit but at least one when d > 1, and the whole rows of
-    # the leading axes per block: over size only if one axis is
+    # the trailing axes of a run of at most size points on k^d, as many
+    # as fit but at least one when d > 1, and the whole rows of the
+    # leading axes per run: over size only if one axis is
     tail = min(1, d - 1)
     while tail < d - 1 and k ** (tail + 1) <= size:
         tail += 1
@@ -281,14 +281,18 @@ def tensor_grid_blocks(axis, axis_logs, chunk, block):
     the later bins.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
-    computed once on the axis after one range check. The leading
-    indices are flattened into rows, with their partial sums and
-    products kept per row; a chunk is a run of whole rows times every
-    trailing index, filled in by outer sums and products. The trailing
-    axes are as many as fit in a chunk, but at least one when n > 2, so
-    a chunk exceeds chunk points only if one axis does. A block splits
-    its chunk the same way with at most block points, and the last
-    block of a chunk is short where the rows do not divide evenly.
+    computed once on the axis after one range check. Chunks and blocks
+    follow one rule: each is a run of whole rows in C order, a row
+    being one index tuple of the leading axes with every index of the
+    trailing ones. The trailing axes are as many as fit in the run, but
+    at least one when n > 2, so a run exceeds its size only if one axis
+    does. A block never has more trailing axes than its chunk, so a
+    chunk is a run of whole block rows, and its last block is short
+    where they do not divide evenly. Per chunk, those rows are gathered
+    by index: p_1 up to the last leading axis, the product of sin^2 and
+    the partial log weight. The trailing axes are filled in by outer
+    sums for the chunk's log weights and by outer products for each
+    block's points.
 
     Sums and products run left to right over the angles, whatever the
     split: the map equals angles_to_simplex bit for bit, and each log
@@ -296,57 +300,45 @@ def tensor_grid_blocks(axis, axis_logs, chunk, block):
     """
     axis = np.asarray(axis, dtype=float)
     _check_angle_range(axis)
-    k = axis.size
-    d = len(axis_logs)
-    tail, step = _rows_and_tail(k, d, chunk)
-    # a block's trailing axes: never more than a chunk's
-    block_tail, block_step = _rows_and_tail(k, d, min(block, chunk))
-    head, mid = d - tail, tail - block_tail
+    k, d = axis.size, len(axis_logs)
     s2 = np.square(np.sin(axis))
     c2 = np.square(np.cos(axis))
-
-    # per row: p_1..p_head, the product of sin^2 over the head axes and
-    # the head part of the log weight; reduce(np.add.outer, ...) adds
-    # left to right and gives each array its own axis. Starting from
-    # 0.0 keeps a chunk's logs off the caller's arrays when n = 2.
-    head_p = np.empty((k,) * head + (head,))
-    head_prod = _map_columns(head_p, 1.0, range(head), c2, s2).ravel()
-    head_p = head_p.reshape(-1, head)
-    head_logs = reduce(np.add.outer, axis_logs[:head], 0.0).ravel()
-
+    tail, step = _rows_and_tail(k, d, chunk)
+    # a block's trailing axes: never more than a chunk's, so a chunk is
+    # whole rows of the blocks' leading axes
+    block_tail, block_step = _rows_and_tail(k, d, min(block, chunk))
+    lead, width, tile = d - block_tail, k ** block_tail, (k,) * block_tail
+    rows, chunk_rows = k ** lead, step * k ** (tail - block_tail)
     # one point buffer for every block: a short block is its leading
     # part, so a block is valid until the next one is built
-    rows_per_chunk = min(step, k ** head) * k ** mid
-    width = k ** block_tail
-    buffer = np.empty(min(block_step, rows_per_chunk) * width * (d + 1))
+    buffer = np.empty(min(block_step, rows) * width * (d + 1))
 
-    def blocks(logs, rows):
-        # a chunk's rows of the first head + mid axes, each with its
-        # p_1..p_{head+mid} and product of sin^2, then its blocks
-        count = head_prod[rows].size
-        row_p = np.empty((count,) + (k,) * mid + (head + mid,))
-        row_p[..., :head] = head_p[rows].reshape((count,) + (1,) * mid + (head,))
-        row_prod = _map_columns(row_p, head_prod[rows], range(head, head + mid),
-                                c2, s2).ravel()
-        row_p = row_p.reshape(-1, head + mid)
-        for start in range(0, row_prod.size, block_step):
-            part = slice(start, start + block_step)
-            c = row_prod[part].size
-            points = buffer[: c * width * (d + 1)].reshape(
-                (c,) + (k,) * block_tail + (d + 1,)
-            )
-            points[..., :head + mid] = row_p[part].reshape(
-                (c,) + (1,) * block_tail + (head + mid,)
-            )
+    def blocks(logs, row_p, row_prod):
+        for start in range(0, len(row_p), block_step):
+            p = row_p[start:start + block_step]
+            c = len(p)
+            points = buffer[: c * width * (d + 1)].reshape((c, *tile, d + 1))
+            points[..., :lead] = p.reshape((c,) + (1,) * block_tail + (lead,))
             points[..., d] = _map_columns(
-                points, row_prod[part], range(head + mid, d), c2, s2
+                points, row_prod[start:start + c], range(lead, d), c2, s2
             )
             yield points.reshape(-1, d + 1), logs[start * width:(start + c) * width]
 
-    for start in range(0, k ** head, step):
-        rows = slice(start, start + step)
-        logs = reduce(np.add.outer, axis_logs[head:], head_logs[rows]).ravel()
-        yield logs, blocks(logs, rows)
+    for first in range(0, rows, chunk_rows):
+        # the chunk's rows, gathered by index: p_1..p_lead, the product
+        # of sin^2 and the sum of the log factors, left to right from
+        # 1.0 and 0.0, as the outer products and sums then go on
+        index = np.unravel_index(
+            np.arange(first, min(first + chunk_rows, rows)), (k,) * lead
+        )
+        row_p = np.empty((index[0].size, lead))
+        row_prod, row_logs = 1.0, 0.0
+        for j, i in enumerate(index):
+            row_p[:, j] = row_prod * c2[i]
+            row_prod = row_prod * s2[i]
+            row_logs = row_logs + axis_logs[j][i]
+        logs = reduce(np.add.outer, axis_logs[lead:], row_logs).ravel()
+        yield logs, blocks(logs, row_p, row_prod)
         # the caller and the finished blocks then hold no reference, so
         # the logs are freed before the next chunk's are made
         del logs

@@ -356,6 +356,25 @@ class TestEvalBudget:
         with pytest.raises(IntegrationError, match="budget"):
             nested_oracle(np.array([1.0, 2.0, 3.0]), spec=spec, budget=50)
 
+    def test_the_oracle_refuses_a_first_outer_pass_over_its_budget(self):
+        # at [3]*5 the first outer node's inner subproblem costs C =
+        # 25,305 evaluations, after the outer pass's own 15; 15 C =
+        # 379,575 exceeds the 274,680 left of 300,000, so the oracle
+        # stops there instead of running until the budget is gone
+        c = 25_305
+        with pytest.raises(IntegrationError, match=(
+            "^nested integration would need about 379575 evaluations for "
+            "its first outer pass, over the 274680 left of its budget of "
+            "300000$"
+        )) as refused:
+            oracle.nested_simplex_integral([3.0] * 5, max_evaluations=300_000)
+        assert refused.value.evaluations == 15 + c
+        # with 15 C left the prediction fits, and the budget runs out later
+        budget = 15 + 16 * c
+        with pytest.raises(IntegrationError, match="exhausted") as exhausted:
+            oracle.nested_simplex_integral([3.0] * 5, max_evaluations=budget)
+        assert 15 + c < exhausted.value.evaluations <= budget
+
 
 class TestGaussGrid:
     def test_flat_integrand_gives_the_simplex_volume(self):
@@ -490,6 +509,7 @@ _CHUNK_SIZES = {
     (4, 24, 300): [288] * 48,
     (5, 9, 300): [243] * 27,
     (5, 32, 1 << 18): [1 << 18] * 4,
+    (5, 24, 1 << 18): [248832, 82944],
     (4, 64, 1 << 18): [1 << 18],
     (6, 7, 1 << 10): [686] * 24 + [343],
 }
@@ -605,6 +625,7 @@ class TestFactoredGrid:
         (4, 24, 300),
         (5, 9, 300),
         (5, 32, 1 << 18),
+        (5, 24, 1 << 18),
         (4, 64, 1 << 18),
         (6, 7, 1 << 10),
     ])
@@ -644,10 +665,13 @@ class TestFullTensorGrid:
     @pytest.mark.parametrize("m, nodes, log_value", [
         ([3.0] * 5, 32, "-0x1.e618ee83f4908p+4"),
         ([0.5, 2.0, 1.5, 3.0], 64, "-0x1.8e94518bcbbbap+3"),
+        ([1.0, 2.0, 0.0, 1.0, 3.0], 24, "-0x1.e08e8cf403348p+3"),
     ])
     def test_frozen_values(self, m, nodes, log_value):
         # frozen from a grid that allocated each block's points afresh
-        # and took the power term of a whole chunk in one pass
+        # and took the power term of a whole chunk in one pass; the
+        # 24-node value from a grid that kept one point buffer, at the
+        # real chunk and block sizes, whose rows split unevenly there
         m = np.array(m)
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
         est = integrate_simplex_log(np.zeros(m.size), power_log_integrand(m), spec)
