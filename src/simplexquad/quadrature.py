@@ -19,17 +19,15 @@ gauss_grid
     at 64). The grid is built from per-axis factors: weights, map and
     kernel K_j (power times Jacobian) are computed once on the axis
     (spherical.tensor_grid_blocks); only the prior is evaluated per
-    point. The log weights come in chunks of at most _CHUNK points, the
-    unit of the log-sum reduction, and the prior gets each chunk's
-    points in blocks of at most _BLOCK. Both follow one rule: a run of
-    whole rows in C order, a row's leading angles gathered by index and
+    point. Points and log weights come in blocks of at most _BLOCK
+    points (one row, if a single axis has more nodes), each a run of
+    whole rows in C order: a row's leading angles gathered by index and
     its trailing axes combined by outer sums (log weights) and outer
-    products (points). Every block is written into one reused
-    buffer, and its prior values are added into the chunk's log
-    weights block by block. A chunk's log weights are the one array
-    of its size; a per-point power term
-    (power_log_integrand, as compare's plain grid uses it) runs within
-    a block. p_1..p_r depend on t_1..t_r alone, so a prior that reads
+    products (points). Every block is written into one reused buffer,
+    its prior values are added into its log weights, and the log-sum
+    reduction takes it as it comes; a per-point power term
+    (power_log_integrand, as compare's plain grid uses it) runs on one
+    block too. p_1..p_r depend on t_1..t_r alone, so a prior that reads
     only p_1..p_r (prior_bins = r) couples just the first r axes: the
     tensor grid covers those, k^r points, and each later axis is one
     1-D sum of its factors, (n-1-r) k more. log_prior then gets
@@ -112,13 +110,10 @@ __all__ = [
     "nested_oracle",
 ]
 
-# points per chunk of the full tensor grid's log weights, the unit of
-# its log-sum reduction
-_CHUNK = 1 << 18
 _MC_BATCH = 1 << 16
-# points per block of a Monte Carlo batch, of the grid's points and of
-# power_log_integrand: n rows of this many doubles stay in cache; 4096
-# was slower at n = 5
+# points per block of a Monte Carlo batch and of the full tensor grid,
+# the grid's unit of its log-sum reduction too: n rows of this many
+# doubles stay in cache; 4096 was slower at n = 5
 _BLOCK = 1 << 13
 
 
@@ -242,9 +237,9 @@ def _angle_rule(count):
 class _LogSumAccumulator:
     """Streaming log-sum-exp with a running max shift.
 
-    Chunks are added in a fixed order and reduced with plain numpy
+    Arrays are added in a fixed order and reduced with plain numpy
     sums, so results are bit-stable from run to run. add shifts and
-    exponentiates a chunk in place: the caller's array is overwritten.
+    exponentiates an array in place: the caller's array is overwritten.
     """
 
     __slots__ = ("shift", "total")
@@ -277,9 +272,9 @@ def power_log_integrand(m):
     The returned function maps points (..., n) to their log values.
     Zero exponents contribute nothing even at p_i = 0 (the 0^0 = 1
     convention), so boundary points do not produce NaNs. The bins are
-    summed in np.sum(axis=-1)'s order, as Monte Carlo sums them, in
-    blocks of at most _BLOCK points, so the scratch is n rows of a
-    block whatever the batch size.
+    summed in np.sum(axis=-1)'s order, as Monte Carlo sums them, in one
+    pass with one (n, count) scratch: the grid hands it a block of at
+    most _BLOCK points, and a larger batch gets a scratch of its size.
     """
     m = np.asarray(as_exponent_vector(m))
 
@@ -287,16 +282,7 @@ def power_log_integrand(m):
         points = np.asarray(points, dtype=float)
         if points.ndim == 0 or points.shape[-1] != m.size:
             raise ValueError(f"points need {m.size} bins, got shape {points.shape}")
-        # one bin per row, viewed as _log_power_rows views a whole batch
-        rows = np.moveaxis(points, -1, 0).reshape(m.size, -1)
-        count = rows.shape[1]
-        out = np.empty(count)
-        terms = np.empty((m.size, min(count, _BLOCK)))
-        for start in range(0, count, _BLOCK):
-            block = rows[:, start:start + _BLOCK]
-            c = block.shape[1]
-            out[start:start + c] = _log_power_rows(m, block, terms[:, :c])
-        return out.reshape(points.shape[:-1])[()]
+        return _log_power_rows(m, np.moveaxis(points, -1, 0))
 
     return log_f
 
@@ -365,16 +351,12 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
         head = float(_checked_log_values(log_prior, np.ones((1, 1)), 1)[0])
         return head + tail, total
     acc = _LogSumAccumulator()
-    # chunks of whole leading-index rows, built from per-axis factors;
-    # with a power-of-two node count they are exactly _CHUNK points.
-    # The prior gets each chunk's points in blocks of at most _BLOCK,
-    # written into one reused buffer, and its values go into the
-    # chunk's log weights, which are freed before the next chunk's
-    for logs, blocks in tensor_grid_blocks(theta, axis_logs[:r], _CHUNK, _BLOCK):
-        for points, block_logs in blocks:
-            block_logs += _checked_log_values(log_prior, points, points.shape[0])
+    # blocks of whole leading-index rows, built from per-axis factors
+    # into one reused point buffer; the prior's values go into each
+    # block's log weights, which the reduction then takes as they are
+    for points, logs in tensor_grid_blocks(theta, axis_logs[:r], _BLOCK):
+        logs += _checked_log_values(log_prior, points, points.shape[0])
         acc.add(logs)
-        del logs, block_logs
     return acc.log_sum + tail, total
 
 
@@ -461,11 +443,11 @@ def integrate_simplex_log(m, log_prior, spec, budget=None, prior_bins=None):
     folds the power into its per-axis factors, nested_oracle into its
     nesting, and monte_carlo adds it to log_prior per point. log_prior
     gets at most _BLOCK (8192) points per call on gauss_grid (one row
-    of the grid, if a single axis has more nodes) and on monte_carlo,
-    and 15 on nested_oracle. This is the
-    one integration core: every scheme and the command line come through
-    here, so the shape, NaN and +inf checks on prior values hold on
-    every route.
+    of the grid, if a single axis has more nodes), whose log-sum
+    reduction takes the same blocks, on monte_carlo, and 15 on
+    nested_oracle. This is the one integration core: every scheme and
+    the command line come through here, so the shape, NaN and +inf
+    checks on prior values hold on every route.
 
     prior_bins = r promises that log_prior reads only p_1..p_r; None
     means it may read every bin. gauss_grid then runs its tensor grid

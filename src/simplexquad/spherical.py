@@ -263,36 +263,31 @@ def _rows_and_tail(k, d, size):
     return tail, max(size // k ** tail, 1)
 
 
-def tensor_grid_blocks(axis, axis_logs, chunk, block):
-    """Points and log weights of the tensor grid axis^(n-1), in chunks.
+def tensor_grid_blocks(axis, axis_logs, block):
+    """Points and log weights of the tensor grid axis^(n-1), in blocks.
 
     Every angle takes its nodes from the 1-D axis, so the points are the
     index tuples (i_1, ..., i_{n-1}) in C order. axis_logs holds one
     array of per-node log factors per angle (for prod p^m dp, log w +
     log K_j: the Jacobian is the m = 0 kernel); a point's log weight is
-    their sum over its indices. Yields (logs, blocks) per chunk: logs a
-    fresh array of the chunk's log weights, and blocks an iterator over
-    the chunk in C order of (points, block_logs): points as
-    angles_to_simplex gives them, shape (count, n), and block_logs the
-    view of logs at those points. The points are a C-contiguous view of
-    one buffer that every block reuses, valid until the next block is
-    requested. Given the factors of the first r angles of a longer map
-    only, the points are (count, r+1): p_1..p_r and the mass left for
-    the later bins.
+    their sum over its indices. Yields (points, logs) per block, in C
+    order: points as angles_to_simplex gives them, shape (count, n),
+    and logs a fresh array of their log weights. The points are a
+    C-contiguous view of one buffer that every block reuses, valid
+    until the next block is requested. Given the factors of the first r
+    angles of a longer map only, the points are (count, r+1): p_1..p_r
+    and the mass left for the later bins.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
-    computed once on the axis after one range check. Chunks and blocks
-    follow one rule: each is a run of whole rows in C order, a row
-    being one index tuple of the leading axes with every index of the
-    trailing ones. The trailing axes are as many as fit in the run, but
-    at least one when n > 2, so a run exceeds its size only if one axis
-    does. A block never has more trailing axes than its chunk, so a
-    chunk is a run of whole block rows, and its last block is short
-    where they do not divide evenly. Per chunk, those rows are gathered
-    by index: p_1 up to the last leading axis, the product of sin^2 and
-    the partial log weight. The trailing axes are filled in by outer
-    sums for the chunk's log weights and by outer products for each
-    block's points.
+    computed once on the axis after one range check. A block is a run
+    of whole rows in C order, a row being one index tuple of the
+    leading axes with every index of the trailing ones. The trailing
+    axes are as many as fit in a block, but at least one when n > 2, so
+    a block exceeds its size only if one axis does. Per block, the rows
+    are gathered by index: p_1 up to the last leading axis, the product
+    of sin^2 and the partial log weight. The trailing axes are filled
+    in by outer sums for the log weights and by outer products for the
+    points.
 
     Sums and products run left to right over the angles, whatever the
     split: the map equals angles_to_simplex bit for bit, and each log
@@ -303,45 +298,24 @@ def tensor_grid_blocks(axis, axis_logs, chunk, block):
     k, d = axis.size, len(axis_logs)
     s2 = np.square(np.sin(axis))
     c2 = np.square(np.cos(axis))
-    tail, step = _rows_and_tail(k, d, chunk)
-    # a block's trailing axes: never more than a chunk's, so a chunk is
-    # whole rows of the blocks' leading axes
-    block_tail, block_step = _rows_and_tail(k, d, min(block, chunk))
-    lead, width, tile = d - block_tail, k ** block_tail, (k,) * block_tail
-    rows, chunk_rows = k ** lead, step * k ** (tail - block_tail)
-    # one point buffer for every block: a short block is its leading
-    # part, so a block is valid until the next one is built
-    buffer = np.empty(min(block_step, rows) * width * (d + 1))
-
-    def blocks(logs, row_p, row_prod):
-        for start in range(0, len(row_p), block_step):
-            p = row_p[start:start + block_step]
-            c = len(p)
-            points = buffer[: c * width * (d + 1)].reshape((c, *tile, d + 1))
-            points[..., :lead] = p.reshape((c,) + (1,) * block_tail + (lead,))
-            points[..., d] = _map_columns(
-                points, row_prod[start:start + c], range(lead, d), c2, s2
-            )
-            yield points.reshape(-1, d + 1), logs[start * width:(start + c) * width]
-
-    for first in range(0, rows, chunk_rows):
-        # the chunk's rows, gathered by index: p_1..p_lead, the product
-        # of sin^2 and the sum of the log factors, left to right from
-        # 1.0 and 0.0, as the outer products and sums then go on
-        index = np.unravel_index(
-            np.arange(first, min(first + chunk_rows, rows)), (k,) * lead
-        )
-        row_p = np.empty((index[0].size, lead))
-        row_prod, row_logs = 1.0, 0.0
+    tail, step = _rows_and_tail(k, d, block)
+    lead, width, tile = d - tail, k ** tail, (k,) * tail
+    rows = k ** lead
+    # one point buffer for every block, a short block its leading part
+    buffer = np.empty(min(step, rows) * width * (d + 1))
+    for first in range(0, rows, step):
+        index = np.unravel_index(np.arange(first, min(first + step, rows)), (k,) * lead)
+        c = index[0].size
+        points = buffer[: c * width * (d + 1)].reshape((c, *tile, d + 1))
+        # left to right from 1.0 and 0.0, as the outer products and sums go on
+        prod, logs = 1.0, 0.0
         for j, i in enumerate(index):
-            row_p[:, j] = row_prod * c2[i]
-            row_prod = row_prod * s2[i]
-            row_logs = row_logs + axis_logs[j][i]
-        logs = reduce(np.add.outer, axis_logs[lead:], row_logs).ravel()
-        yield logs, blocks(logs, row_p, row_prod)
-        # the caller and the finished blocks then hold no reference, so
-        # the logs are freed before the next chunk's are made
-        del logs
+            points[..., j] = (prod * c2[i]).reshape((c,) + (1,) * tail)
+            prod = prod * s2[i]
+            logs = logs + axis_logs[j][i]
+        points[..., d] = _map_columns(points, prod, range(lead, d), c2, s2)
+        logs = reduce(np.add.outer, axis_logs[lead:], logs).ravel()
+        yield points.reshape(-1, d + 1), logs
 
 
 def log_kernel(j, n, m, theta_j):

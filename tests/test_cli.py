@@ -539,6 +539,7 @@ class TestCompareCommand:
         assert results["max_relative_deviation"] <= 1e-9
         assert results["log_oracle"] is not None
         assert results["oracle_note"] is None
+        assert results["grid_note"] is None
         assert set(results["deviations"]) == {
             "exact_vs_separable", "exact_vs_grid", "exact_vs_oracle",
             "separable_vs_grid", "separable_vs_oracle", "grid_vs_oracle",
@@ -576,6 +577,30 @@ class TestCompareCommand:
         assert "n <= 5" in results["oracle_note"]
         assert results["within_tolerance"] is True
         assert "exact_vs_oracle" not in results["deviations"]
+
+    def test_seven_bins_skip_the_plain_grid_but_still_report(self):
+        # the plain grid's 32^6 points exceed the budget; the exact and
+        # separable routes still run and are compared
+        result = run_cli("compare", "--counts", "1,1,1,1,1,1,1")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
+        assert report["results"] == {
+            "log_exact": -22.55216385312342,
+            "log_separable": -22.552163853123417,
+            "log_grid": None,
+            "grid_note": "skipped: gauss_grid with 32 nodes on 6 tensor "
+                         "axes of 6 needs 1073741824 evaluations, over the "
+                         "budget of 100000000",
+            "log_oracle": None,
+            "oracle_note": "skipped: the nested oracle is limited to n <= 5, "
+                           "got n=7",
+            "deviations": {"exact_vs_separable": 3.552713678800501e-15},
+            "max_relative_deviation": 3.552713678800501e-15,
+            "within_tolerance": True,
+        }
+        # the separable route's 6 axes of 32 nodes
+        assert report["diagnostics"]["evaluations"] == 192
 
     def test_five_bins_still_run_the_oracle(self):
         report = report_of(run_cli("compare", "--counts", "1,0,2,0,1",
@@ -626,12 +651,13 @@ class TestCompareCommand:
     @pytest.mark.parametrize("args, log_grid", [
         (("--counts", "3,3,3,3,3"), -30.381086841059215),
         # the budget stops the oracle early; the grid's 64^3 points fit
-        (("--counts", "0.5,2,1.5,3", "--nodes", "64"), -12.455605290449842),
+        (("--counts", "0.5,2,1.5,3", "--nodes", "64"), -12.45560529044984),
     ], ids=["3,3,3,3,3", "0.5,2,1.5,3 --nodes 64"])
     def test_the_plain_grid_is_frozen(self, args, log_grid):
         # the full tensor with the power term per point; frozen from a
         # grid that allocated each block's points afresh and took the
-        # power term of a whole chunk in one pass
+        # power term of 2^18 points in one pass, the 64-node value from
+        # a grid whose reduction takes each 8192-point block
         report = report_of(run_cli(
             "compare", *args, env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "2000000"}
         ))
@@ -719,7 +745,7 @@ _INTEGRATE_USAGE = (
      "error: samples must be at least 1, got 0\n"),
     (("integrate", "--counts", "1,1", "--scheme", "mc", "--seed", "9" * 20), 2,
      "error: seed must lie in [-2**63, 2**63), got 99999999999999999999\n"),
-    (("compare", "--counts", "1,1,1,1,1,1,1"), 3,
+    (("integrate", "--counts", "1,1,1,1,1,1,1", "--prior", "1+p7"), 3,
      "numerical failure: gauss_grid with 32 nodes on 6 tensor axes of 6 needs "
      "1073741824 evaluations, over the budget of 100000000\n"),
 ])

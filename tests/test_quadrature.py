@@ -34,7 +34,6 @@ from simplexquad import (
 from simplexquad.quadrature import _LogSumAccumulator, _angle_rule
 from simplexquad.spherical import (
     HALF_PI,
-    _log_power_rows,
     angles_to_simplex,
     log_jacobian,
     log_kernel,
@@ -471,11 +470,10 @@ def _tilted_log_prior(points):
     return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
 
 
-def _grid_and_reference(m, nodes, chunk, block):
-    # each chunk of the factored grid, its blocks' points gathered, beside
-    # the per-point map and the per-axis terms log w + log K_j of the
-    # same points, taken in C order as one batch and summed per point;
-    # the blocks must be the chunk's log weights in order, each once
+def _grid_and_reference(m, nodes, block):
+    # each block of the factored grid beside the per-point map and the
+    # per-axis terms log w + log K_j of the same points, taken in C
+    # order as one batch and summed per point
     n = m.size
     theta, axis_logs = quadrature._axis_factors(m, nodes)
     _, log_w = _angle_rule(nodes)
@@ -483,14 +481,8 @@ def _grid_and_reference(m, nodes, chunk, block):
         np.indices((nodes,) * (n - 1)).reshape(n - 1, -1).T
     )
     start = 0
-    for logs, blocks in tensor_grid_blocks(theta, axis_logs, chunk, block):
-        gathered, offset = [], 0
-        for points, block_logs in blocks:
-            assert points.shape == (block_logs.size, n)
-            assert block_logs.ctypes.data == logs[offset:].ctypes.data
-            gathered.append(points.copy())
-            offset += block_logs.size
-        assert offset == logs.size
+    for points, logs in tensor_grid_blocks(theta, axis_logs, block):
+        assert points.shape == (logs.size, n)
         rows = index[start:start + logs.size]
         start += logs.size
         th = theta[rows]
@@ -498,54 +490,8 @@ def _grid_and_reference(m, nodes, chunk, block):
             [log_kernel(j, n, m, th[:, j - 1]) for j in range(1, n)], axis=1
         )
         reference = np.sum(log_w[rows] + terms, axis=1)
-        yield np.concatenate(gathered), logs, angles_to_simplex(th), reference
+        yield points.copy(), logs, angles_to_simplex(th), reference
     assert start == nodes ** (n - 1)
-
-
-# the chunk sizes _LogSumAccumulator.add got from a grid that handed the
-# prior whole chunks, by (n, nodes, _CHUNK)
-_CHUNK_SIZES = {
-    (2, 33, 300): [33],
-    (4, 24, 300): [288] * 48,
-    (5, 9, 300): [243] * 27,
-    (5, 32, 1 << 18): [1 << 18] * 4,
-    (5, 24, 1 << 18): [248832, 82944],
-    (4, 64, 1 << 18): [1 << 18],
-    (6, 7, 1 << 10): [686] * 24 + [343],
-}
-
-
-def _prior_calls_and_chunks(monkeypatch, n, nodes):
-    # the sizes of the prior's calls and of the reduction's chunks on a
-    # full grid; each call's points are checked against the per-point
-    # map of the next points in C order, so the calls cover the grid
-    # once, in order
-    theta, _ = _angle_rule(nodes)
-    calls, chunks = [], []
-
-    def log_f(points):
-        start = sum(calls)
-        index = np.unravel_index(
-            np.arange(start, start + points.shape[0]), (nodes,) * (n - 1)
-        )
-        assert np.array_equal(points, angles_to_simplex(np.stack(
-            [theta[i] for i in index], axis=1
-        )))
-        calls.append(points.shape[0])
-        return np.zeros(points.shape[0])
-
-    class Recording(_LogSumAccumulator):
-        def add(self, log_values):
-            chunks.append(log_values.size)
-            super().add(log_values)
-
-    monkeypatch.setattr(quadrature, "_LogSumAccumulator", Recording)
-    spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-    est = integrate_simplex_log(np.zeros(n), log_f, spec)
-    assert sum(calls) == sum(chunks) == nodes ** (n - 1) == est.evaluations
-    # no call crosses the end of a chunk
-    assert set(np.cumsum(chunks)) <= set(np.cumsum(calls))
-    return calls, chunks
 
 
 class TestFactoredGrid:
@@ -561,20 +507,17 @@ class TestFactoredGrid:
         if nodes ** (n - 1) <= 400_000
     ])
     def test_matches_the_per_point_reference_bitwise(self, monkeypatch, n, nodes):
-        # a few hundred points per chunk: several chunks, the last one
-        # partial for most cases; blocks of the whole chunk, and of at
-        # most 50 points, which split most chunks unevenly
-        chunk = 300
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        # blocks of a few hundred points and of at most 50, which split
+        # most grids unevenly; the reduction takes the same blocks
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
-        for block in (chunk, 50):
+        for block in (300, 50):
             monkeypatch.setattr(quadrature, "_BLOCK", block)
             # flat counts, then real and half-integer counts, some near -1
             for m in (np.zeros(n), np.linspace(0.0, 2.5, n),
                       np.resize([-0.999, 0.5, 10.0, 0.0, -0.5], n)):
                 acc = _LogSumAccumulator()
                 for points, logs, ref_points, ref_logs in _grid_and_reference(
-                    m, nodes, chunk, block
+                    m, nodes, block
                 ):
                     assert np.array_equal(points, ref_points)
                     assert np.array_equal(logs, ref_logs)
@@ -588,7 +531,7 @@ class TestFactoredGrid:
         # adds them left to right; the map's products stay bitwise
         m = np.linspace(0.0, 2.5, 9)
         for points, logs, ref_points, ref_logs in _grid_and_reference(
-            m, 4, 1 << 18, 1 << 13
+            m, 4, 1 << 13
         ):
             assert np.array_equal(points, ref_points)
             np.testing.assert_allclose(
@@ -620,42 +563,55 @@ class TestFactoredGrid:
         assert log_rel_gap(measure.log_value, per_point.log_value) <= 1e-13
         assert measure.evaluations == per_point.evaluations
 
-    @pytest.mark.parametrize("n, nodes, chunk", [
-        (2, 33, 300),
-        (4, 24, 300),
-        (5, 9, 300),
-        (5, 32, 1 << 18),
-        (5, 24, 1 << 18),
-        (4, 64, 1 << 18),
-        (6, 7, 1 << 10),
+    @pytest.mark.parametrize("n, nodes, block, sizes", [
+        # 5 rows of 24 per block; the last of 576 rows is alone
+        (4, 24, 120, [120] * 115 + [24]),
+        # 5 rows of 9, then the 4 rows left of 729
+        (5, 9, 50, [45] * 145 + [36]),
+        # a single axis of 33 nodes, wider than the block: one row each
+        (3, 33, 20, [33] * 33),
+        (2, 33, 20, [20, 13]),
+        (6, 7, 1024, [686] * 24 + [343]),
+        # the real block size: 8 rows of 32^2, 14 rows of 24^2 with 2
+        # rows left, and 2 rows of 64^2
+        (5, 32, 1 << 13, [1 << 13] * 128),
+        (5, 24, 1 << 13, [8064] * 41 + [1152]),
+        (4, 64, 1 << 13, [1 << 13] * 32),
     ])
-    def test_batches_stay_within_a_chunk(self, monkeypatch, n, nodes, chunk):
-        # the prior gets blocks of at most _BLOCK points, the reduction
-        # the chunks it got when the prior saw whole chunks
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        calls, chunks = _prior_calls_and_chunks(monkeypatch, n, nodes)
-        assert max(calls) <= min(quadrature._BLOCK, chunk)
-        assert chunks == _CHUNK_SIZES[n, nodes, chunk]
-
-    @pytest.mark.parametrize("n, nodes, chunk, block, calls", [
-        # 12 rows of 24 per chunk, blocks of 5 rows: blocks of 5 rows
-        # taken straight across the grid would cross four chunk ends in
-        # five
-        (4, 24, 300, 120, [120, 120, 48] * 48),
-        # 3 rows of 81 per chunk, blocks of whole rows of 9
-        (5, 9, 300, 50, ([45] * 5 + [18]) * 27),
-        # a single axis of 33 nodes, wider than the block
-        (3, 33, 300, 20, [33] * 33),
-        (2, 33, 300, 20, [20, 13]),
-    ])
-    def test_blocks_end_where_their_chunk_ends(
-        self, monkeypatch, n, nodes, chunk, block, calls
+    def test_each_block_goes_straight_to_the_reduction(
+        self, monkeypatch, n, nodes, block, sizes
     ):
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        # the prior gets the grid's points in C order, each call checked
+        # against the per-point map of the next points, and every add of
+        # the reduction takes the block the prior has just had
         monkeypatch.setattr(quadrature, "_BLOCK", block)
-        got, chunks = _prior_calls_and_chunks(monkeypatch, n, nodes)
-        assert got == calls
-        assert max(chunks) <= chunk
+        theta, _ = _angle_rule(nodes)
+        calls, adds = [], []
+
+        def log_f(points):
+            start = sum(calls)
+            index = np.unravel_index(
+                np.arange(start, start + points.shape[0]), (nodes,) * (n - 1)
+            )
+            assert np.array_equal(points, angles_to_simplex(np.stack(
+                [theta[i] for i in index], axis=1
+            )))
+            assert len(calls) == len(adds)
+            calls.append(points.shape[0])
+            return np.zeros(points.shape[0])
+
+        class Recording(_LogSumAccumulator):
+            def add(self, log_values):
+                assert len(adds) + 1 == len(calls)
+                adds.append(log_values.size)
+                super().add(log_values)
+
+        monkeypatch.setattr(quadrature, "_LogSumAccumulator", Recording)
+        spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
+        est = integrate_simplex_log(np.zeros(n), log_f, spec)
+        assert calls == adds == sizes
+        assert sum(sizes) == nodes ** (n - 1) == est.evaluations
+        assert max(sizes) <= max(block, nodes)
 
 
 class TestFullTensorGrid:
@@ -664,14 +620,17 @@ class TestFullTensorGrid:
 
     @pytest.mark.parametrize("m, nodes, log_value", [
         ([3.0] * 5, 32, "-0x1.e618ee83f4908p+4"),
-        ([0.5, 2.0, 1.5, 3.0], 64, "-0x1.8e94518bcbbbap+3"),
+        ([0.5, 2.0, 1.5, 3.0], 64, "-0x1.8e94518bcbbb9p+3"),
         ([1.0, 2.0, 0.0, 1.0, 3.0], 24, "-0x1.e08e8cf403348p+3"),
     ])
     def test_frozen_values(self, m, nodes, log_value):
         # frozen from a grid that allocated each block's points afresh
-        # and took the power term of a whole chunk in one pass; the
-        # 24-node value from a grid that kept one point buffer, at the
-        # real chunk and block sizes, whose rows split unevenly there
+        # and took the power term of 2^18 points in one pass; the
+        # 24-node value from a grid that kept one point buffer, whose
+        # rows split unevenly at the real block size; the 64-node value
+        # from a grid whose reduction takes each 8192-point block, where
+        # it had taken 2^18 points at a time (one bit nearer the exact
+        # value)
         m = np.array(m)
         spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=nodes)
         est = integrate_simplex_log(np.zeros(m.size), power_log_integrand(m), spec)
@@ -686,25 +645,25 @@ class TestFullTensorGrid:
         return _peak_of_second_run(m, log_f, spec)
 
     def test_one_grid_stays_within_its_memory(self):
-        # four 2^18-point chunks: a chunk's log weights (2.1 MB), and per
-        # block of 8192 points the (8192, 5) point buffer, the power
-        # term's (5, 8192) scratch and its values, about 2.9 MB in all.
-        # A second chunk's log weights alive adds 2.1 MB, points or
-        # power terms of a whole chunk 10.5 MB.
+        # 128 blocks of 8192 points: per block the (8192, 5) point
+        # buffer, its log weights, the power term's (5, 8192) scratch
+        # and its values, about 0.75 MB in all. Log weights of 2^18
+        # points alive add 2.1 MB, points or power terms of as many
+        # 10.5 MB.
         m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert self._grid_peak(np.zeros(5), power_log_integrand(m)) <= 4e6
+        assert self._grid_peak(np.zeros(5), power_log_integrand(m)) <= 1.5e6
 
     def test_a_prior_on_every_bin_stays_within_its_memory(self):
         # the command line's prior on the same 32^4 points, the power
         # term in the measure: the expression's temporaries are a
-        # block's 8192 values each, about 3.0 MB in all; on whole
-        # chunks they alone would be several 2.1 MB arrays
+        # block's 8192 values each, about 1.0 MB in all; on 2^18
+        # points they alone would be several 2.1 MB arrays
         from simplexquad import cli
 
         cli._bind_numerics()
         log_prior = cli._log_prior(cli.parse("exp(-4*(p1^2+p2^2+p3^2+p4^2+p5^2))"))
         m = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert self._grid_peak(m, log_prior) <= 4e6
+        assert self._grid_peak(m, log_prior) <= 1.5e6
 
 
 def _second_last_log_prior(points):
@@ -1370,18 +1329,16 @@ class TestPowerLogIntegrand:
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("shape, transposed", [
-        ((20_000, 5), False),  # two whole blocks and a partial one
-        ((3, 10_000, 5), False),  # leading axes flattened across blocks
+        ((20_000, 5), False),  # more than one grid block
+        ((3, 10_000, 5), False),  # leading axes
         ((20_000, 5), True),  # a transposed view: one bin per row
         ((0, 5), False),
         ((5,), False),  # one point: a numpy scalar
     ])
-    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, block,
-                                              shape, transposed):
-        # the power term runs in blocks of at most _BLOCK points; each
-        # point's sum is that of the whole batch in one pass
-        if block is not None:
-            monkeypatch.setattr(quadrature, "_BLOCK", block)
+    def test_blocks_give_the_bits_of_one_pass(self, block, shape, transposed):
+        # each point's sum is that of the row-major sum over its bins,
+        # whether the batch comes in one call or, as the grid hands it
+        # over, in calls of a few points each
         rng = np.random.default_rng(21)
         m = np.array([0.0, 2.5, 1.0, 0.0, 7.0])
         points = rng.uniform(0.0, 1.0, shape)
@@ -1392,8 +1349,18 @@ class TestPowerLogIntegrand:
         if transposed:
             points = np.ascontiguousarray(points.T).T
             assert not points.flags.c_contiguous
-        expected = _log_power_rows(m, np.moveaxis(points, -1, 0))
-        got = power_log_integrand(m)(points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.sum(np.where(m == 0, 0, m * np.log(points)), axis=-1)
+        log_f = power_log_integrand(m)
+        if block is None:
+            got = log_f(points)
+        else:
+            rows = points.reshape(-1, 5)
+            got = np.concatenate([np.empty(0)] + [
+                log_f(rows[start:start + block])
+                for start in range(0, len(rows), block)
+            ])
+            got = got.reshape(points.shape[:-1])[()]
         assert type(got) is type(expected)
         assert np.shape(got) == points.shape[:-1]
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
