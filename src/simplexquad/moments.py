@@ -140,16 +140,32 @@ def means(m):
     return [(v + 1.0) / t for v in m]
 
 
-def _beta_marginal(m, i):
-    # bin i's Beta(a, b), b summed from the other bins, not N + n - a
+def _beta_marginals(m):
+    # each bin's Beta(a, b), m checked: b is fsum(other bins, n - 1), not N + n - a,
+    # from one exact sum in units of 2^-1074 less the bin (int / int rounds correctly)
+    units = [p << (1075 - q.bit_length()) for p, q in map(float.as_integer_ratio, m)]
+    total = sum(units, (len(m) - 1) << 1074)
+    return [(v + 1.0, (total - u) / (1 << 1074)) for v, u in zip(m, units)]
+
+
+def _marginal(m, i):
     m = as_exponent_vector(m)
-    i0 = _bin_index(i, len(m))
-    return m[i0] + 1.0, math.fsum([*m[:i0], *m[i0 + 1:], len(m) - 1])
+    return _beta_marginals(m)[_bin_index(i, len(m))]
+
+
+def _beta_stats(a, b):
+    # variance, std dev and skewness of Beta(a, b), the forms' one home
+    t = a + b
+    var = (a / t) * (b / t) / (t + 1.0)
+    sd = (math.sqrt(var) if var >= 2.0 ** -1022  # the smallest normal double
+          else (math.sqrt(a) / t) * (math.sqrt(b) / math.sqrt(t + 1.0)))
+    spread = math.sqrt(t + 1.0) / (math.sqrt(a) * math.sqrt(b))
+    return var, sd, 2.0 * ((b - a) / (t + 2.0)) * spread
 
 
 def second_moment(m, i) -> float:
     """E[p_i^2] = (m_i + 2)(m_i + 1) / ((N + n + 1)(N + n))."""
-    a, b = _beta_marginal(m, i)
+    a, b = _marginal(m, i)
     return (a / (a + b)) * ((a + 1.0) / (a + b + 1.0))
 
 
@@ -160,9 +176,7 @@ def variance(m, i) -> float:
     which is E[p_i^2] - E[p_i]^2 with the cancellation done
     symbolically.
     """
-    a, b = _beta_marginal(m, i)
-    t = a + b
-    return (a / t) * (b / t) / (t + 1.0)
+    return _beta_stats(*_marginal(m, i))[0]
 
 
 def std_dev(m, i) -> float:
@@ -172,12 +186,7 @@ def std_dev(m, i) -> float:
     long before its square root does), the square root is taken factor
     by factor: (sqrt(a) / t) * (sqrt(b) / sqrt(t + 1)), t = a + b.
     """
-    var = variance(m, i)
-    if var >= 2.0 ** -1022:  # the smallest normal double
-        return math.sqrt(var)
-    a, b = _beta_marginal(m, i)
-    t = a + b
-    return (math.sqrt(a) / t) * (math.sqrt(b) / math.sqrt(t + 1.0))
+    return _beta_stats(*_marginal(m, i))[1]
 
 
 def skewness(m, i) -> float:
@@ -187,10 +196,7 @@ def skewness(m, i) -> float:
     a = m_i + 1 and b = N + n - a. Zero for symmetric marginals;
     positive means a tail toward larger p_i.
     """
-    a, b = _beta_marginal(m, i)
-    t = a + b
-    spread = math.sqrt(t + 1.0) / (math.sqrt(a) * math.sqrt(b))
-    return 2.0 * ((b - a) / (t + 2.0)) * spread
+    return _beta_stats(*_marginal(m, i))[2]
 
 
 def covariance(m, i, j) -> float:

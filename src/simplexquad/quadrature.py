@@ -86,13 +86,13 @@ from .spec import (
 )
 from .spherical import (
     HALF_PI,
+    _log_kernels,
     _log_power_rows,
     _map_rows,
-    # not called here; perfbench/tracer.py wraps both names in this
-    # module
+    # not called here; perfbench/tracer.py wraps these three names
     angles_to_simplex,  # noqa: F401
     log_jacobian,  # noqa: F401
-    log_kernel,
+    log_kernel,  # noqa: F401
     tensor_grid_blocks,
 )
 
@@ -311,8 +311,7 @@ def _axis_factors(m, nodes):
     # the axis rule and, per angle j = 1..n-1, the log of its weights
     # times the kernel K_j: the per-axis factors of prod p^m dp
     theta, log_w = _angle_rule(nodes)
-    n = m.size
-    return theta, [log_w + log_kernel(j, n, m, theta) for j in range(1, n)]
+    return theta, [log_w + k for k in _log_kernels(m, theta, range(m.size - 1))]
 
 
 def _axis_log_sums(axis_logs):

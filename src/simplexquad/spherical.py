@@ -354,6 +354,8 @@ def log_kernel(j, n, m, theta_j):
         If j is not a whole number, or m, n or an angle is malformed.
     IndexError
         If j is a whole number outside 1..n-1.
+    OverflowError
+        If an exponent 2(m_j+1)-1 or 2 S_j - 1 overflows the doubles.
     """
     m = np.asarray(as_exponent_vector(m))
     if n != m.size:
@@ -361,12 +363,18 @@ def log_kernel(j, n, m, theta_j):
     j0 = _bin_index(j, n - 1, "kernel index")
     t = np.asarray(theta_j, dtype=float)
     _check_angle_range(t)
+    out = next(_log_kernels(m, t, [j0]))
+    return float(out) if np.ndim(out) == 0 else out
 
-    cos_exp = 2.0 * (m[j0] + 1.0) - 1.0
-    sin_exp = 2.0 * float(np.sum(m[j0 + 1:] + 1.0)) - 1.0
-    # the power product 2^1 cos^a t sin^b t, its terms added in that order
+
+def _log_kernels(m, t, axes):
+    # ln K_j at the angles t for each 0-based j in axes, m and t checked,
+    # from one cos and sin pass: 2^1 cos^a t sin^b t, terms in that order
     bases = np.array([np.full(t.shape, 2.0), np.cos(t), np.sin(t)])
-    out = _log_power_rows((1.0, cos_exp, sin_exp), bases)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    for j in axes:
+        with np.errstate(over="ignore"):  # refused below, naming the bin
+            a, b = 2.0 * (m[j] + 1.0) - 1.0, 2.0 * float(np.sum(m[j + 1:] + 1.0)) - 1.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise OverflowError(
+                f"kernel exponents {a} and {b} of bin {j + 1} are not finite")
+        yield _log_power_rows((1.0, a, b), bases)

@@ -451,6 +451,21 @@ class TestIntegrateCommand:
         result = run_cli("integrate", "--counts", "1,1", "--prior", "1/0")
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("counts, exponents", [
+        ("1e308,1", "inf and 3.0"), ("1,1e308", "3.0 and inf"),
+    ])
+    def test_an_overflowing_kernel_exponent_exits_3(self, counts, exponents):
+        # 2(m_1 + 1) - 1 or 2 S_1 - 1 is past the doubles, though the
+        # log of the integral is finite (about -1418.4 for 1e308,1):
+        # a numerical failure, with no numpy warning and no null value
+        result = run_cli("integrate", "--counts", counts)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"numerical failure: kernel exponents {exponents} of bin 1 are "
+            "not finite\n"
+        )
+
     def test_unknown_scheme_is_rejected_by_argparse(self):
         result = run_cli("integrate", "--counts", "1,1", "--scheme", "simpson")
         assert result.returncode == 2

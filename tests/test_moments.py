@@ -27,6 +27,7 @@ from simplexquad import (
     std_dev,
     variance,
 )
+from simplexquad.moments import _beta_marginals
 from simplexquad.oracle import nested_simplex_integral
 
 mpmath.mp.dps = 50
@@ -514,6 +515,49 @@ class TestFrozenValues:
         m = [1e7, 1.0, 2.0]
         assert moment(m, [100000, 0, 0]) == 0.9514657017374286
         assert moment(m, [100000, 1, 0]) == 1.8840894459586651e-07
+
+
+def _seeded_count_vectors(count):
+    # real counts over many scales, the extremes of the doubles included:
+    # the smallest subnormal, 1e+-300, counts a hair above -1 and whole
+    # numbers near the top of the exact integers
+    rng = np.random.default_rng(20250125)
+    extremes = [5e-324, 1e-300, 1e300, -1.0 + 2.0 ** -53, -0.5, 0.0,
+                2.0 ** 53 + 2.0, 1e15, 7e12, 0.1, 3.3]
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        kind = rng.integers(4)
+        if kind == 0:
+            m = rng.integers(0, 10, n).astype(float)
+        elif kind == 1:
+            m = rng.uniform(-0.99, 50.0, n)
+        elif kind == 2:
+            m = -1.0 + 10.0 ** rng.uniform(-15.0, 0.0, n)
+        else:
+            m = 10.0 ** rng.uniform(-320.0, 300.0, n)
+            m[rng.random(n) < 0.3] = rng.choice(extremes)
+        yield [float(v) for v in m]
+
+
+def _fsum_of_the_others(m):
+    # each bin's Beta(a, b) with b summed by fsum, bin by bin
+    n = len(m)
+    return [(m[i] + 1.0, math.fsum([*m[:i], *m[i + 1:], n - 1]))
+            for i in range(n)]
+
+
+class TestBetaMarginals:
+    def test_b_is_the_correctly_rounded_sum_of_the_other_bins(self):
+        # the one-pass integer sum keeps fsum's bits
+        for m in _seeded_count_vectors(3000):
+            assert _beta_marginals(m) == _fsum_of_the_others(m), m
+
+    @pytest.mark.parametrize("m", [
+        [5e-324, 5e-324], [1e300, 1e-300, 5e-324], [-1.0 + 2.0 ** -53] * 3,
+        [1.5e308, 0.0, -0.5],
+    ])
+    def test_counts_at_the_ends_of_the_doubles(self, m):
+        assert _beta_marginals(m) == _fsum_of_the_others(m)
 
 
 class TestExponentVector:

@@ -47,6 +47,7 @@ def step(name, action):
             code = exc.code
     steps.append({"step": name, "code": code, "numpy": "numpy" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules,
+                  "decimal": "decimal" in sys.modules,
                   "stdout": out.getvalue(), "stderr": err.getvalue()})
 
 step("import simplexquad", lambda: __import__("simplexquad") and 0)
@@ -68,8 +69,9 @@ def test_closed_forms_and_input_errors_leave_numpy_unloaded():
                  "moments --moment", "moments --help", "malformed --counts"):
         assert not steps[name]["numpy"], name
         # nor dataclasses, which would pull in inspect, ast, dis and
-        # tokenize on every start
+        # tokenize on every start, nor decimal (fractions imports it)
         assert not steps[name]["dataclasses"], name
+        assert not steps[name]["decimal"], name
     assert steps["moments"]["code"] == 0
     assert json.loads(steps["moments"]["stdout"])["results"]["mean"] == [
         0.5, 1 / 6, 1 / 3]

@@ -36,7 +36,6 @@ from simplexquad.spherical import (
     HALF_PI,
     angles_to_simplex,
     log_jacobian,
-    log_kernel,
     tensor_grid_blocks,
 )
 
@@ -470,6 +469,25 @@ def _tilted_log_prior(points):
     return -2.0 * points[:, 0] + np.log1p(points[:, 1] ** 2)
 
 
+def _written_out_log_kernel(m, j, t):
+    # ln K_j = ln 2 + a ln cos t + b ln sin t for the 0-based angle j,
+    # a = 2(m_j + 1) - 1 and b = 2 S_j - 1, added in that order: apart
+    # from the kernel code the grid and log_kernel share
+    return (math.log(2.0)
+            + (2.0 * (m[j] + 1.0) - 1.0) * np.log(np.cos(t))
+            + (2.0 * np.sum(m[j + 1:] + 1.0) - 1.0) * np.log(np.sin(t)))
+
+
+def test_axis_factors_match_the_written_out_kernels_bitwise():
+    # real counts, whose tail sums S_j round differently in another order
+    m = np.random.default_rng(7).uniform(-0.99, 50.0, 40)
+    theta, axis_logs = quadrature._axis_factors(m, 16)
+    _, log_w = _angle_rule(16)
+    assert len(axis_logs) == m.size - 1
+    for j, logs in enumerate(axis_logs):
+        assert np.array_equal(logs, log_w + _written_out_log_kernel(m, j, theta)), j
+
+
 def _grid_and_reference(m, nodes, block):
     # each block of the factored grid beside the per-point map and the
     # per-axis terms log w + log K_j of the same points, taken in C
@@ -487,7 +505,7 @@ def _grid_and_reference(m, nodes, block):
         start += logs.size
         th = theta[rows]
         terms = np.stack(
-            [log_kernel(j, n, m, th[:, j - 1]) for j in range(1, n)], axis=1
+            [_written_out_log_kernel(m, j, th[:, j]) for j in range(n - 1)], axis=1
         )
         reference = np.sum(log_w[rows] + terms, axis=1)
         yield points.copy(), logs, angles_to_simplex(th), reference

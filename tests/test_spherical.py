@@ -7,6 +7,7 @@ Jacobian determinants, and mpmath for one non-trivial kernel value.
 
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -365,6 +366,17 @@ class TestLogKernel:
     def test_rejects_bad_exponent_vectors(self, m):
         with pytest.raises(ValueError):
             log_kernel(1, m.size, m, 0.5)
+
+    @pytest.mark.parametrize("j, m", [
+        (1, [1e308, 1.0, 1.0]),  # 2(m_1 + 1) - 1
+        (1, [1.0, 1e308, 1e308]),  # 2 S_1 - 1, S_1 itself past the doubles
+        (2, [1.0, 1.0, 1e308]),  # 2 S_2 - 1
+    ])
+    def test_an_overflowing_exponent_names_the_bin(self, j, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"of bin {j} are not finite"):
+                log_kernel(j, 3, m, 0.5)
 
     @pytest.mark.parametrize("theta, message", [
         ([math.nan], "angles must be finite"),
