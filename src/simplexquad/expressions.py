@@ -39,7 +39,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .oracle import IntegrationError
+from .spec import IntegrationError
 
 __all__ = [
     "GRAMMAR_VERSION",

@@ -16,19 +16,15 @@ on 15 points. It is slow by design and shares no code with the
 spherical change of variables, so the two routes can serve as
 independent checks on each other. Practical up to n = 5.
 
-Everything here is deliberately self-contained: no numpy, no package
-imports beyond the exception type it defines.
+Everything here is deliberately self-contained: it imports only math
+and the exception type IntegrationError from spec, so no numpy.
 """
 
 import math
 
+from .spec import IntegrationError
+
 __all__ = ["IntegrationError", "nested_simplex_integral", "gauss_kronrod"]
-
-
-class IntegrationError(RuntimeError):
-    """Numerical integration could not meet its contract."""
-
-    evaluations = 0  # what a failed nested_simplex_integral had spent
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1], the classical
@@ -167,13 +163,19 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
     max_evaluations : int
         Hard cap on evaluations, charged 15 per pass at every level.
         For n >= 3 the first outer pass is predicted from its first
-        node: if 15 times what that node's inner integration cost
-        exceeds the evaluations left, IntegrationError is raised then,
-        not once the budget is spent.
+        node, and refused at once if 15 times that node's inner cost
+        exceeds the evaluations left.
 
     Returns
     -------
     (value, evaluations) : (float, int)
+
+    Raises
+    ------
+    IntegrationError
+        With the evaluations spent, when the budget runs out or would, a
+        pass does not converge, a prior value is bad or, with no prior,
+        the value underflows to 0.0 (prod p_i^{m_i} > 0 in the simplex).
     """
     m = [float(v) for v in m]
     n = len(m)
@@ -249,6 +251,8 @@ def nested_simplex_integral(m, prior=None, rel_tol=1e-10, max_evaluations=10**8)
 
     try:
         value = level(1.0, [], 1.0, 0)
+        if prior is None and value == 0.0:
+            raise IntegrationError("the nested oracle underflowed to 0")
     except IntegrationError as exc:
         exc.evaluations = max_evaluations - budget.remaining
         raise

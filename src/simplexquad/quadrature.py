@@ -76,10 +76,11 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import as_exponent_vector
-from .oracle import IntegrationError, nested_simplex_integral
+from .oracle import nested_simplex_integral
 from .spec import (
     BUDGET_ENV_VAR,
     DEFAULT_EVAL_BUDGET,
+    IntegrationError,
     QuadratureSpec,
     _whole,
     resolve_eval_budget,

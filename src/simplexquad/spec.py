@@ -1,7 +1,7 @@
-"""What a quadrature runs and how much it may spend, without numpy.
+"""What a quadrature runs, may spend and raises, without numpy.
 
-The command line reads these on every call, for its defaults and the
-report; quadrature re-exports them under the same names.
+The command line reads these on every call, for its defaults, the
+report and exit code 3; quadrature re-exports them, the oracle the error.
 """
 
 import math
@@ -13,6 +13,11 @@ DEFAULT_EVAL_BUDGET = 100_000_000
 BUDGET_ENV_VAR = "SIMPLEXQUAD_EVAL_BUDGET"
 
 _SCHEMES = ("gauss_grid", "monte_carlo", "nested_oracle")
+
+
+class IntegrationError(RuntimeError):
+    """Numerical integration could not meet its contract."""
+    evaluations = 0  # what a failed nested_simplex_integral had spent
 
 
 def resolve_eval_budget(budget=None):

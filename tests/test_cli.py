@@ -781,11 +781,25 @@ def _reject_constant(token):
 
 class TestZeroIntegrals:
     def test_zero_integral_reports_null_log_value(self):
-        result = run_cli("integrate", "--counts", "1,1", "--prior", "0")
-        assert result.returncode == 0, result.stderr
-        report = json.loads(result.stdout, parse_constant=_reject_constant)
-        assert report["results"]["log_value"] is None
-        assert report["results"]["value"] == 0.0
+        # on the oracle too: a zero that the prior makes is a result
+        for scheme in ("gauss", "oracle"):
+            result = run_cli("integrate", "--counts", "1,1", "--prior", "0",
+                             "--scheme", scheme)
+            assert result.returncode == 0, result.stderr
+            report = json.loads(result.stdout, parse_constant=_reject_constant)
+            assert report["results"]["log_value"] is None
+            assert report["results"]["value"] == 0.0
+
+    @pytest.mark.parametrize("counts", ["400,300,200", "10000,3,2000,7"])
+    def test_an_oracle_that_underflows_with_no_prior_exits_3(self, counts):
+        # the true logs are about -961 and -5500, zero in linear doubles;
+        # with no prior that zero cannot be the integral
+        result = run_cli("integrate", "--counts", counts, "--scheme", "oracle")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: the nested oracle underflowed to 0\n"
+        )
 
     def test_plain_output_prints_minus_inf_for_the_log(self):
         result = run_cli("integrate", "--counts", "1,1", "--prior", "0",

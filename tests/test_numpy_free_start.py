@@ -1,5 +1,5 @@
-"""The closed forms start without numpy or dataclasses, and the
-numerical names still trace.
+"""The closed forms start without numpy, dataclasses or the nested
+oracle, and the numerical names still trace.
 
 Each test runs in a fresh interpreter, because this process has long
 imported numpy. The package resolves its names on first access and the
@@ -48,6 +48,7 @@ def step(name, action):
     steps.append({"step": name, "code": code, "numpy": "numpy" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules,
                   "decimal": "decimal" in sys.modules,
+                  "oracle": "simplexquad.oracle" in sys.modules,
                   "stdout": out.getvalue(), "stderr": err.getvalue()})
 
 step("import simplexquad", lambda: __import__("simplexquad") and 0)
@@ -72,6 +73,8 @@ def test_closed_forms_and_input_errors_leave_numpy_unloaded():
         # tokenize on every start, nor decimal (fractions imports it)
         assert not steps[name]["dataclasses"], name
         assert not steps[name]["decimal"], name
+        # the oracle is a leaf that only quadrature imports
+        assert not steps[name]["oracle"], name
     assert steps["moments"]["code"] == 0
     assert json.loads(steps["moments"]["stdout"])["results"]["mean"] == [
         0.5, 1 / 6, 1 / 3]

@@ -6,10 +6,12 @@ independent routes to the same integrals, and the tests pit them
 against each other rather than against copied constants.
 """
 
+import ast
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,28 @@ def test_package_exports_each_public_name_once():
     for internal in ("HALF_PI", "MAX_NODES", "nested_simplex_integral",
                      "integrate_simplex"):
         assert internal not in names
+
+
+def test_the_error_type_is_one_class_from_spec():
+    from simplexquad import expressions, spec
+
+    assert simplexquad.IntegrationError is spec.IntegrationError
+    assert spec.IntegrationError is oracle.IntegrationError
+    assert quadrature.IntegrationError is spec.IntegrationError
+    assert issubclass(expressions.EvaluationError, spec.IntegrationError)
+
+
+def test_the_oracle_imports_only_math_and_the_error_type():
+    # its independence from the spherical routes, as code: no numpy and
+    # nothing numerical of the package
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imports = [
+        ("import", alias.name) if isinstance(node, ast.Import)
+        else ("." * node.level + (node.module or ""), alias.name)
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imports == [("import", "math"), (".spec", "IntegrationError")]
 
 
 # the package's public names, in order, as they stood before the
@@ -965,6 +989,17 @@ class TestNestedOracleRoute:
     def test_zero_integrand_comes_back_as_log_zero(self):
         est = nested_oracle(np.zeros(2), lambda p: 0.0)
         assert est.log_value == -math.inf
+
+    def test_a_flat_prior_underflow_is_raised_not_returned(self):
+        # prod p_i^{m_i} is positive inside the simplex, so with no prior
+        # a zero is the linear doubles underflowing; the spend is frozen
+        match = "^the nested oracle underflowed to 0$"
+        with pytest.raises(IntegrationError, match=match) as info:
+            oracle.nested_simplex_integral([400, 300, 200])
+        assert info.value.evaluations == 240
+        with pytest.raises(IntegrationError, match=match) as info:
+            nested_oracle([1e4, 3, 2e3, 7])
+        assert info.value.evaluations == 3615
 
     # counts and a prior together: prod p^m times p_1 is the Dirichlet
     # integral at m + e_1, whose closed form is log_norm_integral
