@@ -30,6 +30,7 @@ import math
 import re
 import sys
 import time
+from itertools import combinations
 
 from .moments import (
     _beta_marginals,
@@ -187,7 +188,7 @@ def _parse_counts_text(text):
 
 def _read_counts_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read counts file: {exc}") from None
@@ -257,19 +258,17 @@ def cmd_moments(args, counts):
     indices, powers = _parse_moment_indices(args.moment, n)
 
     mean_values = means(counts)
-    columns = zip(*(_beta_stats(a, b) for a, b in _beta_marginals(counts)))
-    results = {
-        "mean": mean_values,
-        **dict(zip(("variance", "std_dev", "skewness"), map(list, columns))),
-        # self-check: the means must sum to 1
-        "mean_sum": math.fsum(mean_values),
-    }
+    stats = zip(*(_beta_stats(a, b) for a, b in _beta_marginals(counts)))
+    columns = [mean_values, *map(list, stats)]
+    results = dict(zip(("mean", "variance", "std_dev", "skewness"), columns))
+    # self-check: the means must sum to 1
+    results["mean_sum"] = math.fsum(mean_values)
+    numbers = [v for column in columns for v in column]
     if indices is not None:
-        results["moment"] = {
-            "index": indices,
-            "value": moment(counts, powers),
-        }
-    return results, 0, {"moment": indices}, 0
+        value = moment(counts, powers)
+        results["moment"] = {"index": indices, "value": value}
+        numbers.append(value)
+    return results, 0, {"moment": indices}, 0, numbers
 
 
 def _quadrature_spec(args):
@@ -326,6 +325,7 @@ def cmd_integrate(args, counts):
         "std_error": estimate.std_error,
         "scheme": spec.scheme,
     }
+    numbers = [estimate.log_value, value, estimate.std_error]
     if indices is not None:
         if estimate.log_value == -math.inf:
             raise IntegrationError(
@@ -336,11 +336,13 @@ def cmd_integrate(args, counts):
             shifted, log_prior, spec, prior_bins=prior_bins
         )
         evaluations += numerator.evaluations
+        ratio = math.exp(numerator.log_value - estimate.log_value)
         results["moment"] = {
             "index": indices,
-            "value": math.exp(numerator.log_value - estimate.log_value),
+            "value": ratio,
             "log_numerator": _log_or_null(numerator.log_value),
         }
+        numbers.append(ratio)
     extra_inputs = {
         "prior": args.prior,
         "scheme": spec.scheme,
@@ -348,59 +350,52 @@ def cmd_integrate(args, counts):
         "seed": int(args.seed),
         "moment": indices,
     }
-    return results, evaluations, extra_inputs, 0
+    return results, evaluations, extra_inputs, 0, numbers
+
+
+def _oracle_route(counts, tol):
+    n = len(counts)
+    if n > 5:
+        raise IntegrationError(f"the nested oracle is limited to n <= 5, got n={n}")
+    spec = QuadratureSpec(
+        scheme="nested_oracle", rel_tol=max(min(tol * 1e-2, 1e-9), 1e-13)
+    )
+    return nested_oracle(counts, spec=spec)
 
 
 def cmd_compare(args, counts):
     _bind_numerics()
-    n = len(counts)
-
     exact_log = log_norm_integral(counts)
     grid_spec = QuadratureSpec(scheme="gauss_grid", nodes_per_axis=args.nodes)
     separable = integrate_separable(counts, grid_spec)
     log_values = {"exact": exact_log, "separable": separable.log_value}
-    # every route's evaluations, a failed oracle's included
+    # every route's evaluations, a skipped route's included
     evaluations = separable.evaluations
-    grid_note = None
-    try:
+    notes = {}
+    routes = {
         # the power term per point: this grid checks the map and Jacobian
-        grid = integrate_simplex_log(
-            np.zeros(n), power_log_integrand(counts), grid_spec
-        )
-    except IntegrationError as exc:
-        grid_note = f"skipped: {exc}"
-    else:
-        log_values["grid"] = grid.log_value
-        evaluations += grid.evaluations
-
-    oracle_note = None
-    if n <= 5:
-        oracle_spec = QuadratureSpec(
-            scheme="nested_oracle",
-            rel_tol=max(min(args.tol * 1e-2, 1e-9), 1e-13),
-        )
+        "grid": lambda: integrate_simplex_log(
+            np.zeros(len(counts)), power_log_integrand(counts), grid_spec
+        ),
+        "oracle": lambda: _oracle_route(counts, args.tol),
+    }
+    for name, run in routes.items():
         try:
-            oracle = nested_oracle(counts, spec=oracle_spec)
+            estimate = run()
         except IntegrationError as exc:
-            oracle_note = f"skipped: {exc}"
+            notes[name] = f"skipped: {exc}"
             evaluations += exc.evaluations
         else:
-            log_values["oracle"] = oracle.log_value
-            evaluations += oracle.evaluations
-    else:
-        oracle_note = f"skipped: the nested oracle is limited to n <= 5, got n={n}"
+            log_values[name] = estimate.log_value
+            evaluations += estimate.evaluations
 
     # pairwise relative deviations, measured against the exact value
     # and computed in log space so large counts cannot underflow
-    names = list(log_values)
-    deviations = {}
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            first, second = names[a], names[b]
-            deviations[f"{first}_vs_{second}"] = abs(
-                math.exp(log_values[first] - exact_log)
-                - math.exp(log_values[second] - exact_log)
-            )
+    ratios = {name: math.exp(log - exact_log) for name, log in log_values.items()}
+    deviations = {
+        f"{a}_vs_{b}": abs(ratios[a] - ratios[b])
+        for a, b in combinations(ratios, 2)
+    }
     max_deviation = max(deviations.values())
     within = max_deviation <= args.tol
 
@@ -408,41 +403,18 @@ def cmd_compare(args, counts):
         "log_exact": exact_log,
         "log_separable": separable.log_value,
         "log_grid": log_values.get("grid"),
-        "grid_note": grid_note,
+        "grid_note": notes.get("grid"),
         "log_oracle": log_values.get("oracle"),
-        "oracle_note": oracle_note,
+        "oracle_note": notes.get("oracle"),
         "deviations": deviations,
         "max_relative_deviation": max_deviation,
         "within_tolerance": within,
     }
-    return results, evaluations, {}, 0 if within else 4
-
-
-def _plain_lines(report):
-    results = report["results"]
-    command = report["command"]
-    if command == "moments":
-        lines = []
-        for key in ("mean", "variance", "std_dev", "skewness"):
-            lines.extend(repr(v) for v in results[key])
-        if "moment" in results:
-            lines.append(repr(results["moment"]["value"]))
-        return lines
-    if command == "integrate":
-        log_value = results["log_value"]
-        value = results["value"]
-        lines = [
-            repr(log_value) if log_value is not None else "-inf",
-            repr(value) if value is not None else "inf",
-            repr(results["std_error"]),
-        ]
-        if "moment" in results:
-            lines.append(repr(results["moment"]["value"]))
-        return lines
-    return [repr(results["max_relative_deviation"])]
+    return results, evaluations, {}, 0 if within else 4, [max_deviation]
 
 
 def _render(report, plain):
+    # serialized first, so a NaN or infinite result fails --plain too
     try:
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError:
@@ -450,12 +422,14 @@ def _render(report, plain):
             "a result is NaN or infinite, which the report cannot hold"
         ) from None
     if plain:
-        return "\n".join(_plain_lines(report)) + "\n"
+        # repr prints a zero integral's log as -inf and an overflow as inf
+        return "".join(f"{v!r}\n" for v in plain)
     return text + "\n"
 
 
-# each step gets (args, counts) and returns
-# (results, evaluations, extra_inputs, exit_code); main adds the rest
+# each step gets (args, counts) and returns (results, evaluations,
+# extra_inputs, exit_code, plain_numbers), the last being the --plain
+# lines in order; main adds the rest
 _COMMANDS = {
     "moments": cmd_moments,
     "integrate": cmd_integrate,
@@ -492,14 +466,14 @@ def main(argv=None):
     try:
         start = time.perf_counter()
         counts = _resolve_counts(args)
-        results, evaluations, extra_inputs, code = _COMMANDS[args.command](
-            args, counts
-        )
+        results, evaluations, extra_inputs, code, numbers = _COMMANDS[
+            args.command
+        ](args, counts)
         report = _make_report(
             args.command, counts, args, results, evaluations,
             time.perf_counter() - start, extra_inputs,
         )
-        text = _render(report, args.plain)
+        text = _render(report, numbers if args.plain else None)
     # an ExpressionSyntaxError is a ValueError
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

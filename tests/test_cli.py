@@ -223,6 +223,20 @@ class TestCountsFile:
         result = run_cli("moments", "--counts-file", str(path))
         assert result.returncode == 2
 
+    def test_a_leading_byte_order_mark_is_accepted(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with the mark U+FEFF
+        plain = tmp_path / "plain.txt"
+        marked = tmp_path / "marked.txt"
+        plain.write_bytes(b"1,2\n3\n")
+        marked.write_bytes(b"\xef\xbb\xbf1,2\n3\n")
+        mask = re.compile(r'"wall_time_s": [^,\n]+')
+        expected = run_cli("moments", "--counts-file", str(plain))
+        result = run_cli("moments", "--counts-file", str(marked))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert mask.sub("<t>", result.stdout) == mask.sub("<t>", expected.stdout)
+        assert json.loads(result.stdout)["inputs"]["counts"] == [1.0, 2.0, 3.0]
+
 
 class TestIntegrateCommand:
     def test_gauss_default_against_the_factorial_form(self):
@@ -698,6 +712,64 @@ class TestCompareCommand:
         lines = result.stdout.splitlines()
         assert len(lines) == 1
         assert 0.0 <= float(lines[0]) <= 1e-9
+
+    def test_a_refused_grid_and_a_refused_oracle_share_one_report(self):
+        # both routes raise IntegrationError under this budget; each is
+        # skipped with a note, and what each spent still counts
+        result = run_cli("compare", "--counts", "1,1,1,1,1",
+                         env_extra={"SIMPLEXQUAD_EVAL_BUDGET": "1000"})
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        report = json.loads(result.stdout)
+        results = report["results"]
+        assert results["log_grid"] is None
+        assert results["grid_note"] == (
+            "skipped: gauss_grid with 32 nodes on 4 tensor axes of 4 needs "
+            "1048576 evaluations, over the budget of 1000"
+        )
+        assert results["log_oracle"] is None
+        assert results["oracle_note"] == (
+            "skipped: nested integration exhausted its evaluation budget"
+        )
+        assert list(results["deviations"]) == ["exact_vs_separable"]
+        # 4 separable axes of 32 nodes, plus the 990 the oracle spent
+        assert report["diagnostics"]["evaluations"] == 4 * 32 + 990
+
+
+def _plain_fields(command, results):
+    # the README's --plain line order, one report field per line
+    if command == "moments":
+        keys = ("mean", "variance", "std_dev", "skewness")
+        fields = [v for key in keys for v in results[key]]
+    elif command == "integrate":
+        fields = [results[key] for key in ("log_value", "value", "std_error")]
+    else:
+        return [results["max_relative_deviation"]]
+    if "moment" in results:
+        fields.append(results["moment"]["value"])
+    return fields
+
+
+@pytest.mark.parametrize("args", [
+    ("moments", "--counts", "1,2,3", "--moment", "1,2"),
+    ("integrate", "--counts", "2,0,1", "--moment", "1,2"),
+    ("integrate", "--counts", "1,2,3", "--scheme", "mc", "--samples", "1000"),
+    ("integrate", "--counts", "1,1,1", "--scheme", "oracle", "--moment", "1"),
+    ("integrate", "--counts", "1,1", "--prior", "0"),
+    ("compare", "--counts", "1,2,3"),
+], ids=["moments", "gauss-moment", "mc", "oracle-moment", "zero-prior",
+        "compare"])
+def test_plain_lines_are_the_report_fields(args):
+    report = run_cli(*args)
+    plain = run_cli(*args, "--plain")
+    assert plain.returncode == report.returncode == 0, plain.stderr
+    assert plain.stderr == report.stderr == ""
+    fields = _plain_fields(args[0], json.loads(report.stdout)["results"])
+    lines = plain.stdout.splitlines()
+    assert len(lines) == len(fields)
+    for line, field in zip(lines, fields):
+        # a null in the report is the log of a zero or an overflow
+        assert line in ("-inf", "inf") if field is None else line == repr(field)
 
 
 @pytest.mark.parametrize("command", ["integrate", "compare"])
