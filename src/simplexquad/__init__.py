@@ -11,7 +11,8 @@ parser for prior weight functions used by the command line tool.
 Each module's ``__all__`` decides which of its names are public; the
 package re-exports exactly those. They are listed here by module and
 imported on first access (PEP 562), so ``import simplexquad`` loads no
-numpy: the closed forms in ``moments`` and ``special`` need none.
+numpy: the closed forms in ``moments`` and ``special`` need none, nor
+do the names that ``quadrature`` re-exports from ``spec``.
 """
 
 import importlib
@@ -34,6 +35,9 @@ _EXPORTS = {
 }
 _HOMES = {name: module for module, names in _EXPORTS.items()
           for name in names.split()}
+# quadrature re-exports these from spec, where reading one loads no numpy
+_HOMES.update(dict.fromkeys("DEFAULT_EVAL_BUDGET BUDGET_ENV_VAR IntegrationError "
+                            "QuadratureSpec resolve_eval_budget".split(), "spec"))
 
 __all__ = ["__version__", *_HOMES]
 

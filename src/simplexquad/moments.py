@@ -123,7 +123,11 @@ def moment(m, idx) -> float:
 def _total(m) -> float:
     # N + n, the normalizing total behind every closed-form moment, in
     # one rounding: fsum(m) + n cancels when counts sit near -1
-    return math.fsum([*m, len(m)])
+    try:
+        return math.fsum([*m, len(m)])
+    except OverflowError:
+        raise OverflowError(
+            "the total N + n of the counts is past the largest double") from None
 
 
 def mean(m, i) -> float:
@@ -145,6 +149,7 @@ def _beta_marginals(m):
     # from one exact sum in units of 2^-1074 less the bin (int / int rounds correctly)
     units = [p << (1075 - q.bit_length()) for p, q in map(float.as_integer_ratio, m)]
     total = sum(units, (len(m) - 1) << 1074)
+    _total(m)  # refuses an N + n past the doubles, below which no b is
     return [(v + 1.0, (total - u) / (1 << 1074)) for v, u in zip(m, units)]
 
 

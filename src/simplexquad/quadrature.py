@@ -21,9 +21,9 @@ gauss_grid
     (spherical.tensor_grid_blocks); only the prior is evaluated per
     point. Points and log weights come in blocks of at most _BLOCK
     points (one row, if a single axis has more nodes), each a run of
-    whole rows in C order: a row's leading angles gathered by index and
-    its trailing axes combined by outer sums (log weights) and outer
-    products (points). Every block is written into one reused buffer,
+    whole rows in C order, built in one pass over its angles: a row's
+    leading angles gathered per row, its trailing ones broadcast along
+    their own axes. Every block is written into one reused buffer,
     its prior values are added into its log weights, and the log-sum
     reduction takes it as it comes; a per-point power term
     (power_log_integrand, as compare's plain grid uses it) runs on one
@@ -32,7 +32,7 @@ gauss_grid
     tensor grid covers those, k^r points, and each later axis is one
     1-D sum of its factors, (n-1-r) k more. log_prior then gets
     (count, r+1) points, p_1..p_r and the mass left for bins r+1..n;
-    at r = 0 that is the one point [[1.0]]. The axis rule costs
+    at r = 0 that is the grid's one point [[1.0]]. The axis rule costs
     O(k^2) to build, so the budget bounds its k ceil(k/2) recurrence
     steps too, before it is built.
 monte_carlo
@@ -346,10 +346,6 @@ def _gauss_grid(m, log_prior, nodes, budget, prior_bins):
     tail = _axis_log_sums(axis_logs[r:])
     if log_prior is None:
         return tail, total
-    if r == 0:
-        # the prior reads no bin: one point, all of its mass left over
-        head = float(_checked_log_values(log_prior, np.ones((1, 1)), 1)[0])
-        return head + tail, total
     acc = _LogSumAccumulator()
     # blocks of whole leading-index rows, built from per-axis factors
     # into one reused point buffer; the prior's values go into each
@@ -388,8 +384,8 @@ def _monte_carlo(m, log_prior, samples, seed, budget):
         # order one draw of the whole batch would
         for start in range(0, count, block):
             c = min(block, count - start)
-            # drawn one point per row, the stream's order; then one
-            # angle per row, which every later step runs along
+            # drawn one point per row, the stream's order; then one angle
+            # per row, in [0, pi/2) and so unchecked, for every later step
             uniform = draws[: d * c].reshape(c, d)
             rng.random(out=uniform)
             theta = work[: d * c].reshape(d, c)

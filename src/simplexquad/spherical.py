@@ -35,7 +35,6 @@ those, block by block.
 """
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -114,12 +113,11 @@ def _row_sum(terms, out):
 
 def _map_rows(theta, s, points, logs):
     # The map and the log-Jacobian of a batch laid out one angle per
-    # row: theta (n-1, count) is checked and turned into cos^2, s
+    # row: theta (n-1, count), in range, is turned into cos^2, s
     # (n-1, count) gets sin^2, points (n, count) gets p_1..p_n one bin
     # per row and logs (count,) the log-Jacobian. Every step is a pass
     # over whole rows; the row sums keep np.sum's order, so the values
     # are those of the row-major formulas bit for bit.
-    _check_angle_range(theta)
     d = len(theta)
     np.sin(theta, out=s)
     np.cos(theta, out=theta)
@@ -234,6 +232,7 @@ def _map_and_log_jacobian(theta):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim < 1 or theta.shape[-1] < 1:
         raise ValueError("an angle vector needs at least one component (n >= 2 bins)")
+    _check_angle_range(theta)
     lead, d = theta.shape[:-1], theta.shape[-1]
     rows = np.array(theta.reshape(-1, d).T, order="C")
     points = np.empty((d + 1, rows.shape[1]))
@@ -242,22 +241,11 @@ def _map_and_log_jacobian(theta):
     return np.ascontiguousarray(points.T).reshape(lead + (d + 1,)), logs.reshape(lead)
 
 
-def _map_columns(out, prod, columns, c2, s2):
-    # p_j = (product of sin^2 over the axes before j) * cos^2 on axis j,
-    # written broadcast over the later axes of out; returns the product
-    # of sin^2 over every axis filled in
-    for j in columns:
-        col = np.multiply.outer(prod, c2)
-        out[..., j] = col.reshape(col.shape + (1,) * (out.ndim - 1 - col.ndim))
-        prod = np.multiply.outer(prod, s2)
-    return prod
-
-
 def _rows_and_tail(k, d, size):
     # the trailing axes of a run of at most size points on k^d, as many
     # as fit but at least one when d > 1, and the whole rows of the
     # leading axes per run: over size only if one axis is
-    tail = min(1, d - 1)
+    tail = int(d > 1)
     while tail < d - 1 and k ** (tail + 1) <= size:
         tail += 1
     return tail, max(size // k ** tail, 1)
@@ -276,18 +264,19 @@ def tensor_grid_blocks(axis, axis_logs, block):
     C-contiguous view of one buffer that every block reuses, valid
     until the next block is requested. Given the factors of the first r
     angles of a longer map only, the points are (count, r+1): p_1..p_r
-    and the mass left for the later bins.
+    and the mass left for the later bins; at r = 0 that is the one
+    point [[1.0]], of log weight 0.0.
 
     The map factors into per-axis terms too (sin^2 t, cos^2 t),
     computed once on the axis after one range check. A block is a run
     of whole rows in C order, a row being one index tuple of the
     leading axes with every index of the trailing ones. The trailing
     axes are as many as fit in a block, but at least one when n > 2, so
-    a block exceeds its size only if one axis does. Per block, the rows
-    are gathered by index: p_1 up to the last leading axis, the product
-    of sin^2 and the partial log weight. The trailing axes are filled
-    in by outer sums for the log weights and by outer products for the
-    points.
+    a block exceeds its size only if one axis does. A block is built in
+    one pass over its angles: a leading angle's factors are gathered
+    per row, a trailing angle's are broadcast along its own axis of the
+    block, and each angle writes its p_j and multiplies its sin^2 into
+    the running product and adds its log factor to the running sum.
 
     Sums and products run left to right over the angles, whatever the
     split: the map equals angles_to_simplex bit for bit, and each log
@@ -304,18 +293,23 @@ def tensor_grid_blocks(axis, axis_logs, block):
     # one point buffer for every block, a short block its leading part
     buffer = np.empty(min(step, rows) * width * (d + 1))
     for first in range(0, rows, step):
-        index = np.unravel_index(np.arange(first, min(first + step, rows)), (k,) * lead)
-        c = index[0].size
+        flat = np.arange(first, min(first + step, rows))
+        c = flat.size
         points = buffer[: c * width * (d + 1)].reshape((c, *tile, d + 1))
-        # left to right from 1.0 and 0.0, as the outer products and sums go on
         prod, logs = 1.0, 0.0
-        for j, i in enumerate(index):
-            points[..., j] = (prod * c2[i]).reshape((c,) + (1,) * tail)
-            prod = prod * s2[i]
-            logs = logs + axis_logs[j][i]
-        points[..., d] = _map_columns(points, prod, range(lead, d), c2, s2)
-        logs = reduce(np.add.outer, axis_logs[lead:], logs).ravel()
-        yield points.reshape(-1, d + 1), logs
+        for j in range(d):
+            # a leading angle's nodes per row, shape (c, 1, ..., 1); a
+            # trailing angle's along its own axis, (k, 1, ..., 1) broadcast
+            if j < lead:
+                at = (flat // k ** (lead - 1 - j) % k).reshape((c,) + (1,) * tail)
+            else:
+                at = np.arange(k).reshape((k,) + (1,) * (d - 1 - j))
+            points[..., j] = prod * c2[at]
+            prod = prod * s2[at]
+            logs = logs + axis_logs[j][at]
+        points[..., d] = prod
+        del prod  # block-sized: freed before the caller gets the block
+        yield points.reshape(-1, d + 1), np.ravel(logs)
 
 
 def log_kernel(j, n, m, theta_j):

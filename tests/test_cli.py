@@ -480,6 +480,16 @@ class TestIntegrateCommand:
             "not finite\n"
         )
 
+    def test_a_total_past_the_doubles_exits_3_with_its_message(self):
+        # N + n of two finite counts is past the largest double
+        result = run_cli("moments", "--counts", "1e308,1e308")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: the total N + n of the counts is past the "
+            "largest double\n"
+        )
+
     def test_unknown_scheme_is_rejected_by_argparse(self):
         result = run_cli("integrate", "--counts", "1,1", "--scheme", "simpson")
         assert result.returncode == 2

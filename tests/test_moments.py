@@ -425,6 +425,22 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="bin index must be an integer"):
             variance(m, 1.5)
 
+    @pytest.mark.parametrize("m", [[1e308] * 3, [1e308, 1e308]])
+    def test_a_total_past_the_doubles_is_one_overflow_error(self, m):
+        # the total N + n is past the largest double, though every
+        # count is finite: the closed forms say so, whichever sum finds
+        # it, rather than return a zero or a NaN built on an inf total
+        message = "^the total N \\+ n of the counts is past the largest double$"
+        for form in (mean, variance, std_dev, skewness, second_moment):
+            with pytest.raises(OverflowError, match=message):
+                form(m, 1)
+        with pytest.raises(OverflowError, match=message):
+            means(m)
+        with pytest.raises(OverflowError, match=message):
+            covariance(m, 1, 2)
+        with pytest.raises(OverflowError, match=message):
+            moment(m, [1] + [0] * (len(m) - 1))
+
 
 # Frozen values of the closed forms, captured before they moved from
 # numpy arrays to plain floats; the move must not change a bit. Counts

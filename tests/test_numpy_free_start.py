@@ -97,6 +97,33 @@ def test_closed_forms_and_input_errors_leave_numpy_unloaded():
     assert report["diagnostics"]["evaluations"] == 2 * 32
 
 
+SPEC_NAMES = r'''
+import json, sys
+import simplexquad
+
+names = ("DEFAULT_EVAL_BUDGET", "BUDGET_ENV_VAR", "IntegrationError",
+         "QuadratureSpec", "resolve_eval_budget")
+values = [getattr(simplexquad, name) for name in names]
+loaded = {"numpy": "numpy" in sys.modules,
+          "dataclasses": "dataclasses" in sys.modules,
+          "oracle": "simplexquad.oracle" in sys.modules}
+from simplexquad import quadrature, spec
+print(json.dumps({
+    "loaded": loaded,
+    "spec": [value is getattr(spec, name) for name, value in zip(names, values)],
+    "quadrature": [value is getattr(quadrature, name)
+                   for name, value in zip(names, values)],
+}))
+'''
+
+
+def test_the_names_quadrature_takes_from_spec_leave_numpy_unloaded():
+    # quadrature re-exports them, but the package reads them from spec
+    got = run_fresh(SPEC_NAMES)
+    assert got["loaded"] == {"numpy": False, "dataclasses": False, "oracle": False}
+    assert got["spec"] == got["quadrature"] == [True] * 5
+
+
 TRACED_BEFORE_ANY_COMMAND = r'''
 import contextlib, io, json, sys
 from simplexquad import cli, quadrature

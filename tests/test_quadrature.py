@@ -655,6 +655,19 @@ class TestFactoredGrid:
         assert sum(sizes) == nodes ** (n - 1) == est.evaluations
         assert max(sizes) <= max(block, nodes)
 
+    def test_zero_angles_give_one_point_with_all_the_mass(self):
+        # the grid of a prior that reads no bin comes through the same
+        # builder: one block, the point [[1.0]] of log weight 0.0
+        theta, _ = _angle_rule(8)
+        blocks = [(points.copy(), logs)
+                  for points, logs in tensor_grid_blocks(theta, [], 1 << 13)]
+        assert len(blocks) == 1
+        points, logs = blocks[0]
+        assert points.dtype == logs.dtype == np.float64
+        assert points.tolist() == [[1.0]]
+        assert logs.tolist() == [0.0]
+        assert math.copysign(1.0, logs[0]) == 1.0
+
 
 class TestFullTensorGrid:
     """compare's plain grid: the power term evaluated per point on all
